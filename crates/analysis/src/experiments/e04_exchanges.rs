@@ -30,7 +30,7 @@ pub struct Params {
     pub max_steps: u64,
     /// Worker threads.
     pub threads: usize,
-    /// Simulation backend observed ([`Backend::run_observed`] serves both:
+    /// Simulation backend observed ([`Backend::run_to_silence`] serves both:
     /// inline observation on the indexed engine, change-trace replay on the
     /// count engine).
     pub backend: Backend,
@@ -98,10 +98,10 @@ fn one_run(n: usize, k: u16, seed: u64, max_steps: u64, backend: Backend) -> Exc
     let mut energy_rises = 0u64;
     let mut potential_violations = 0u64;
 
-    let observer = |before_i: &CirclesState,
-                    before_j: &CirclesState,
-                    after_i: &CirclesState,
-                    after_j: &CirclesState| {
+    let mut observer = |before_i: &CirclesState,
+                        before_j: &CirclesState,
+                        after_i: &CirclesState,
+                        after_j: &CirclesState| {
         let ket_moved =
             before_i.braket.ket != after_i.braket.ket || before_j.braket.ket != after_j.braket.ket;
         if !ket_moved {
@@ -124,7 +124,7 @@ fn one_run(n: usize, k: u16, seed: u64, max_steps: u64, backend: Backend) -> Exc
         last_energy = next_energy;
     };
     let outcome = backend
-        .run_observed(&protocol, &inputs, seed, max_steps, observer)
+        .run_to_silence(&protocol, &inputs, 0, seed, max_steps, Some(&mut observer))
         .expect("framework error");
     assert!(outcome.stabilized, "run did not stabilize within budget");
 

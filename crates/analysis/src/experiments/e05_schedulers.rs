@@ -11,7 +11,7 @@ use pp_schedulers::{
     ClusteredScheduler, LazyAdversaryScheduler, RoundRobinScheduler, ShuffledRoundsScheduler,
 };
 
-use crate::runner::seed_range;
+use crate::runner::{seed_range, trial_rng};
 use crate::stats::Summary;
 use crate::table::{fmt_f64, Table};
 use crate::trial::{run_trial, Backend, TrialResult, TrialRunner};
@@ -78,15 +78,16 @@ fn trial_for(
     max_steps: u64,
     backend: Backend,
 ) -> TrialResult {
+    let rng = trial_rng(0, seed);
     match scheduler_name {
         // The uniform-random row is engine-agnostic: it dispatches through
         // the backend like every ported experiment.
-        "uniform" => backend.trial(protocol, inputs, seed, expected, max_steps),
+        "uniform" => backend.trial(protocol, inputs, 0, seed, expected, max_steps),
         "round-robin" => run_trial(
             protocol,
             inputs,
             RoundRobinScheduler::new(),
-            seed,
+            rng,
             expected,
             max_steps,
         ),
@@ -94,7 +95,7 @@ fn trial_for(
             protocol,
             inputs,
             ShuffledRoundsScheduler::new(),
-            seed,
+            rng,
             expected,
             max_steps,
         ),
@@ -105,7 +106,7 @@ fn trial_for(
                 protocol,
                 inputs,
                 LazyAdversaryScheduler::new(*protocol, window),
-                seed,
+                rng,
                 expected,
                 max_steps,
             )
@@ -114,7 +115,7 @@ fn trial_for(
             protocol,
             inputs,
             ClusteredScheduler::new(16),
-            seed,
+            rng,
             expected,
             max_steps,
         ),
@@ -122,7 +123,7 @@ fn trial_for(
             protocol,
             inputs,
             ClusteredScheduler::new(256),
-            seed,
+            rng,
             expected,
             max_steps,
         ),

@@ -2,6 +2,14 @@
 //! backend-dispatching [`TrialRunner`], and its crash-tolerant
 //! [`SupervisedRunner`] wrapper (panic isolation, per-trial deadlines with
 //! checkpointed retry, journaled sweep resume).
+//!
+//! Every run here goes through one of two cores. Indexed runs (the uniform
+//! scheduler of [`Backend::Indexed`], or the named schedulers of
+//! [`run_trial`]) build a [`Simulation`]; count runs build a cold
+//! [`SparseActivity`] engine, or — in [`TrialRunner::run_with_table`]'s warm
+//! sweeps — a [`CompactCountEngine`] over a shared table snapshot. Both
+//! cores grade a run the same way: budget exhaustion is a recorded finding
+//! (`stabilized == false`), not an error.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -12,7 +20,7 @@ use std::time::{Duration, Instant};
 use circles_core::Color;
 use pp_protocol::{
     Activity, CompactCountEngine, CountConfig, CountEngine, FrameworkError, Population, Protocol,
-    RunReport, Scheduler, Simulation, SparseActivity, TableSnapshot, TransitionTable,
+    RunReport, Scheduler, Simulation, SparseActivity, StepReport, TableSnapshot, TransitionTable,
     UniformCountScheduler, UniformPairScheduler,
 };
 use rand::RngCore;
@@ -123,44 +131,57 @@ impl Backend {
 
     /// Runs `protocol` from `inputs` to silence on this backend under
     /// uniform-random scheduling, returning report and final configuration.
-    /// The RNG is the counter-based trial stream `(0, seed)` (see
+    /// The RNG is the counter-based trial stream `(sweep_seed, seed)` (see
     /// [`trial_rng`](crate::runner::trial_rng())), so the trajectory is a
-    /// pure function of the seed. Budget exhaustion is a recorded finding
-    /// (`stabilized == false`), not an error — matching [`run_trial`]'s
-    /// convention.
+    /// pure function of the key pair. Budget exhaustion is a recorded
+    /// finding (`stabilized == false`), not an error — matching
+    /// [`trial`](Self::trial)'s convention.
     ///
     /// This is the protocol-agnostic entry point experiments use when they
     /// need the *terminal configuration* and not just `TrialResult` numbers
     /// (E7 inspects surviving self-loops, E8 checks bra-ket conservation).
     ///
+    /// When an `observer` is given it is invoked once per *state-changing*
+    /// interaction with `(initiator_before, responder_before,
+    /// initiator_after, responder_after)`, in execution order — the
+    /// protocol-agnostic hook E4-style work measurements need. On the
+    /// indexed backend the observer runs inline. On the count backend the
+    /// engine records its change-point trace (state pairs) and the observer
+    /// replays it afterwards, recomputing each outcome through the protocol
+    /// — same observations, same order, `O(state changes)` memory; without
+    /// an observer nothing is recorded. Observing never changes the run.
+    ///
     /// # Errors
     ///
     /// Propagates non-budget framework errors (scheduler misbehaviour).
+    #[allow(clippy::type_complexity)]
     pub fn run_to_silence<P>(
         self,
         protocol: &P,
         inputs: &[P::Input],
+        sweep_seed: u64,
         seed: u64,
         max_steps: u64,
+        mut observer: Option<&mut dyn FnMut(&P::State, &P::State, &P::State, &P::State)>,
     ) -> Result<SilenceOutcome<P>, FrameworkError>
     where
         P: Protocol,
     {
+        let rng = trial_rng(sweep_seed, seed);
         match self {
             Backend::Indexed => {
-                let population = Population::from_inputs(protocol, inputs);
-                let check_interval = (population.len() as u64).max(16);
-                let mut sim = Simulation::with_rng(
+                let (sim, stabilized) = simulate(
                     protocol,
-                    population,
+                    inputs,
                     UniformPairScheduler::new(),
-                    trial_rng(0, seed),
-                );
-                let stabilized = match sim.run_until_silent(max_steps, check_interval) {
-                    Ok(_) => true,
-                    Err(FrameworkError::MaxStepsExceeded { .. }) => false,
-                    Err(e) => return Err(e),
-                };
+                    rng,
+                    max_steps,
+                    |step| {
+                        if let Some(observer) = observer.as_mut().filter(|_| step.changed()) {
+                            observer(&step.before.0, &step.before.1, &step.after.0, &step.after.1);
+                        }
+                    },
+                )?;
                 Ok(SilenceOutcome {
                     report: sim.report(),
                     config: sim.into_population().to_count_config(),
@@ -168,19 +189,18 @@ impl Backend {
                 })
             }
             Backend::Count => {
-                let config: CountConfig<P::State> =
-                    inputs.iter().map(|i| protocol.input(i)).collect();
-                let mut engine = CountEngine::<_, _, SparseActivity, _>::with_rng(
-                    protocol,
-                    config,
-                    UniformCountScheduler::new(),
-                    trial_rng(0, seed),
-                );
-                let stabilized = match engine.run_until_silent(max_steps) {
-                    Ok(_) => true,
-                    Err(FrameworkError::MaxStepsExceeded { .. }) => false,
-                    Err(e) => return Err(e),
-                };
+                let mut engine = cold_count_engine(protocol, inputs, rng);
+                if observer.is_some() {
+                    engine.record_trace();
+                }
+                let stabilized = settle(engine.run_until_silent(max_steps))?;
+                if let Some(observer) = observer {
+                    let trace = engine.take_trace().expect("recording was on");
+                    for (a, b) in trace.pairs() {
+                        let (ta, tb) = protocol.transition(a, b);
+                        observer(a, b, &ta, &tb);
+                    }
+                }
                 Ok(SilenceOutcome {
                     report: engine.report(),
                     config: engine.config(),
@@ -190,38 +210,16 @@ impl Backend {
         }
     }
 
-    /// Runs one uniform-random trial on this backend — the
-    /// backend-dispatching form of [`run_trial`]/[`run_count_trial`] that
-    /// experiments sweep over a `Params::backend` field. Equivalent to
-    /// [`trial_stream`](Self::trial_stream) with sweep seed `0`.
+    /// Runs one uniform-random trial on this backend on the counter-based
+    /// stream `(sweep_seed, seed)` — the form [`TrialRunner`] dispatches and
+    /// experiments sweep over a `Params::backend` field. Results depend only
+    /// on the key pair, not on threading or sweep order.
     ///
     /// # Errors
     ///
     /// Propagates non-budget framework errors (budget exhaustion is a
     /// recorded finding, as in [`run_trial`]).
     pub fn trial<P>(
-        self,
-        protocol: &P,
-        inputs: &[P::Input],
-        seed: u64,
-        expected: Color,
-        max_steps: u64,
-    ) -> Result<TrialResult, FrameworkError>
-    where
-        P: Protocol<Output = Color>,
-    {
-        self.trial_stream(protocol, inputs, 0, seed, expected, max_steps)
-    }
-
-    /// [`trial`](Self::trial) on the explicit counter-based stream
-    /// `(sweep_seed, seed)` — the form [`TrialRunner`] dispatches, whose
-    /// results depend only on the key pair, not on threading or sweep
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-budget framework errors.
-    pub fn trial_stream<P>(
         self,
         protocol: &P,
         inputs: &[P::Input],
@@ -235,7 +233,7 @@ impl Backend {
     {
         let rng = trial_rng(sweep_seed, seed);
         match self {
-            Backend::Indexed => run_trial_rng(
+            Backend::Indexed => run_trial(
                 protocol,
                 inputs,
                 UniformPairScheduler::new(),
@@ -243,91 +241,7 @@ impl Backend {
                 expected,
                 max_steps,
             ),
-            Backend::Count => run_count_trial_rng(protocol, inputs, rng, expected, max_steps),
-        }
-    }
-
-    /// Runs to silence on this backend like
-    /// [`run_to_silence`](Self::run_to_silence), invoking `observer` once
-    /// per *state-changing* interaction with
-    /// `(initiator_before, responder_before, initiator_after,
-    /// responder_after)`, in execution order — the protocol-agnostic hook
-    /// E4-style work measurements need.
-    ///
-    /// On the indexed backend the observer runs inline. On the count
-    /// backend the engine records its change-point trace (state pairs) and
-    /// the observer replays it afterwards, recomputing each outcome through
-    /// the protocol — same observations, same order, `O(state changes)`
-    /// memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-budget framework errors.
-    pub fn run_observed<P, F>(
-        self,
-        protocol: &P,
-        inputs: &[P::Input],
-        seed: u64,
-        max_steps: u64,
-        mut observer: F,
-    ) -> Result<SilenceOutcome<P>, FrameworkError>
-    where
-        P: Protocol,
-        F: FnMut(&P::State, &P::State, &P::State, &P::State),
-    {
-        match self {
-            Backend::Indexed => {
-                let population = Population::from_inputs(protocol, inputs);
-                let check_interval = (population.len() as u64).max(16);
-                let mut sim = Simulation::with_rng(
-                    protocol,
-                    population,
-                    UniformPairScheduler::new(),
-                    trial_rng(0, seed),
-                );
-                let observe = |step: &pp_protocol::StepReport<P::State>| {
-                    if step.changed() {
-                        observer(&step.before.0, &step.before.1, &step.after.0, &step.after.1);
-                    }
-                };
-                let stabilized =
-                    match sim.run_until_silent_observed(max_steps, check_interval, observe) {
-                        Ok(_) => true,
-                        Err(FrameworkError::MaxStepsExceeded { .. }) => false,
-                        Err(e) => return Err(e),
-                    };
-                Ok(SilenceOutcome {
-                    report: sim.report(),
-                    config: sim.into_population().to_count_config(),
-                    stabilized,
-                })
-            }
-            Backend::Count => {
-                let config: CountConfig<P::State> =
-                    inputs.iter().map(|i| protocol.input(i)).collect();
-                let mut engine = CountEngine::<_, _, SparseActivity, _>::with_rng(
-                    protocol,
-                    config,
-                    UniformCountScheduler::new(),
-                    trial_rng(0, seed),
-                );
-                engine.record_trace();
-                let stabilized = match engine.run_until_silent(max_steps) {
-                    Ok(_) => true,
-                    Err(FrameworkError::MaxStepsExceeded { .. }) => false,
-                    Err(e) => return Err(e),
-                };
-                let trace = engine.take_trace().expect("recording was on");
-                for (a, b) in trace.pairs() {
-                    let (ta, tb) = protocol.transition(a, b);
-                    observer(a, b, &ta, &tb);
-                }
-                Ok(SilenceOutcome {
-                    report: engine.report(),
-                    config: engine.config(),
-                    stabilized,
-                })
-            }
+            Backend::Count => count_trial(protocol, inputs, rng, expected, max_steps, None),
         }
     }
 }
@@ -365,7 +279,6 @@ pub struct TrialRunner {
     threads: usize,
     max_steps: u64,
     seeds: Vec<u64>,
-    warm: bool,
     sweep_seed: u64,
     table_cache: Option<std::path::PathBuf>,
 }
@@ -379,7 +292,6 @@ impl TrialRunner {
             threads: default_threads(),
             max_steps: u64::MAX / 2,
             seeds: (0..32).collect(),
-            warm: false,
             sweep_seed: 0,
             table_cache: None,
         }
@@ -423,31 +335,21 @@ impl TrialRunner {
         self
     }
 
-    /// Enables warm-started trials on the [`Backend::Count`] backend: each
-    /// [`run`](Self::run) threads one [`TransitionTable`] through all its
-    /// trials, so only the first seed pays the `O(slots²)` protocol
-    /// discovery and the rest bulk-load it. No effect on the indexed
-    /// backend (which has no discovery phase). Use
-    /// [`run_with_table`](Self::run_with_table) to share one table across
-    /// several sweeps of the same protocol.
-    pub fn warm(mut self, warm: bool) -> Self {
-        self.warm = warm;
-        self
-    }
-
     /// Sets the directory [`run_cached`](Self::run_cached) persists
     /// discovered transition tables in, keyed by protocol identity
     /// fingerprint — see [`TableCache`].
     /// Without this, `run_cached` falls back to the `PP_TABLE_CACHE`
-    /// environment variable, and with neither set behaves exactly like a
-    /// warm [`run`](Self::run).
+    /// environment variable, and with neither set behaves exactly like
+    /// [`run_with_table`](Self::run_with_table) over a fresh, empty table.
     pub fn table_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.table_cache = Some(dir.into());
         self
     }
 
     /// Runs one trial per seed in parallel and returns results in seed
-    /// order.
+    /// order. Count-backend trials run cold; use
+    /// [`run_with_table`](Self::run_with_table) to share discovery across
+    /// the sweep.
     ///
     /// # Panics
     ///
@@ -460,16 +362,12 @@ impl TrialRunner {
         P::Input: Sync,
         P::State: Send + Sync,
     {
-        if self.warm && self.backend == Backend::Count {
-            let table = TransitionTable::new();
-            return self.run_with_table(protocol, inputs, expected, &table);
-        }
         let backend = self.backend;
         let max_steps = self.max_steps;
         let sweep = self.sweep_seed;
         run_seeded(&self.seeds, self.threads, |seed| {
             backend
-                .trial_stream(protocol, inputs, sweep, seed, expected, max_steps)
+                .trial(protocol, inputs, sweep, seed, expected, max_steps)
                 .expect("trial failed")
         })
     }
@@ -480,6 +378,13 @@ impl TrialRunner {
     /// the table) before the rest fan out, so a sweep pays the one-time
     /// discovery exactly once; passing an already-warm table (e.g. from a
     /// previous sweep at the same `k`) skips even that.
+    ///
+    /// Warm trials run on the [`CompactCountEngine`], whose compressed rows
+    /// keep the per-trial adjacency footprint more than an order of
+    /// magnitude under the flat layout. The table is only a lookup oracle
+    /// and slot numbering stays canonical, so every result is
+    /// **bit-identical** to the cold [`run`](Self::run) of the same seed,
+    /// whatever the table contains.
     ///
     /// Falls back to [`run`](Self::run) semantics on the indexed backend,
     /// which has no discovery to share.
@@ -500,27 +405,26 @@ impl TrialRunner {
         P::State: Send + Sync,
     {
         if self.backend != Backend::Count {
-            // No discovery to share on the indexed engine; run() cannot
-            // re-enter the warm path for a non-Count backend.
             return self.run(protocol, inputs, expected);
         }
         let max_steps = self.max_steps;
         let sweep = self.sweep_seed;
+        let trial = |seed, snapshot: &Arc<TableSnapshot<P::State>>| {
+            count_trial(
+                protocol,
+                inputs,
+                trial_rng(sweep, seed),
+                expected,
+                max_steps,
+                Some((snapshot, table)),
+            )
+            .expect("trial failed")
+        };
         let mut results = Vec::with_capacity(self.seeds.len());
         let mut rest = &self.seeds[..];
         if table.is_empty() {
             if let Some((&first, tail)) = self.seeds.split_first() {
-                results.push(
-                    run_count_trial_warm_rng(
-                        protocol,
-                        inputs,
-                        trial_rng(sweep, first),
-                        expected,
-                        max_steps,
-                        table,
-                    )
-                    .expect("trial failed"),
-                );
+                results.push(trial(first, &table.snapshot()));
                 rest = tail;
             }
         }
@@ -530,18 +434,7 @@ impl TrialRunner {
         // per-epoch view is what keeps warm materialization identical across
         // thread counts.
         let snap = table.snapshot();
-        results.extend(run_seeded(rest, self.threads, |seed| {
-            run_count_trial_warm_snap_rng(
-                protocol,
-                inputs,
-                trial_rng(sweep, seed),
-                expected,
-                max_steps,
-                &snap,
-                table,
-            )
-            .expect("trial failed")
-        }));
+        results.extend(run_seeded(rest, self.threads, |seed| trial(seed, &snap)));
         results
     }
 
@@ -555,8 +448,10 @@ impl TrialRunner {
     /// written back whenever the sweep grew it. Results are bit-identical
     /// in all three cases — the cache can only save time.
     ///
-    /// With no cache configured, or on the indexed backend (which has no
-    /// discovery to persist), this is exactly a warm [`run`](Self::run).
+    /// With no cache configured this is [`run_with_table`](Self::run_with_table)
+    /// over a fresh, empty table; on the indexed backend (which has no
+    /// discovery to persist) it is exactly [`run`](Self::run) and touches
+    /// no store.
     ///
     /// The extra `Display`/`FromStr` bounds are the store's state codec;
     /// they are why this is a separate method rather than `run` behaviour.
@@ -576,16 +471,16 @@ impl TrialRunner {
         P::State: Send + Sync + std::fmt::Display + std::str::FromStr,
         <P::State as std::str::FromStr>::Err: std::fmt::Display,
     {
+        if self.backend != Backend::Count {
+            return self.run(protocol, inputs, expected);
+        }
         let cache = match &self.table_cache {
             Some(dir) => Some(TableCache::new(dir.clone())),
             None => TableCache::from_env(),
         };
         let Some(cache) = cache else {
-            return self.clone().warm(true).run(protocol, inputs, expected);
+            return self.run_with_table(protocol, inputs, expected, &TransitionTable::new());
         };
-        if self.backend != Backend::Count {
-            return self.run(protocol, inputs, expected);
-        }
         let (table, _status) = cache.load_or_empty(protocol);
         let loaded = (table.len(), table.active_pairs(), table.outcome_count());
         let results = self.run_with_table(protocol, inputs, expected, &table);
@@ -715,31 +610,84 @@ impl SupervisedRunner {
         let sweep = self.runner.sweep_seed;
         let deadline = self.deadline.filter(|_| backend == Backend::Count);
         self.supervise(|seed| {
-            let attempt = catch_unwind(AssertUnwindSafe(|| match deadline {
-                Some(deadline) => run_count_trial_supervised(
-                    protocol,
-                    inputs,
-                    sweep,
-                    seed,
-                    expected,
-                    max_steps,
-                    deadline,
-                    self.checkpoint_every,
-                    self.max_attempts,
-                ),
-                None => {
-                    match backend.trial_stream(protocol, inputs, sweep, seed, expected, max_steps) {
-                        Ok(result) => TrialVerdict::Completed(result),
-                        Err(e) => TrialVerdict::Poisoned {
-                            message: format!("framework error: {e}"),
-                        },
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                match deadline {
+                    Some(deadline) => {
+                        self.deadline_trial(protocol, inputs, seed, expected, deadline)
                     }
+                    None => backend
+                        .trial(protocol, inputs, sweep, seed, expected, max_steps)
+                        .map(TrialVerdict::Completed),
                 }
+                .unwrap_or_else(|e| TrialVerdict::Poisoned {
+                    message: format!("framework error: {e}"),
+                })
             }));
             attempt.unwrap_or_else(|payload| TrialVerdict::Poisoned {
                 message: panic_message(payload.as_ref()),
             })
         })
+    }
+
+    /// A deadline-bounded count-backend trial: runs the same cold engine as
+    /// [`Backend::trial`] (so a completed verdict is bit-identical to the
+    /// unsupervised trial of the same `(sweep_seed, seed)`), but offers a
+    /// pause point to a wall-clock deadline every
+    /// [`checkpoint_every`](Self::checkpoint_every) state changes. When the
+    /// deadline fires, the engine checkpoints in memory and the trial
+    /// retries *from that checkpoint* with a fresh clock — progress is never
+    /// discarded — up to [`max_attempts`](Self::max_attempts) total attempts
+    /// before settling as [`TrialVerdict::DeadlineExceeded`].
+    ///
+    /// The deadline hook only observes the engine (no RNG draws), and
+    /// checkpoint resume is exact, so a trial that pauses and resumes any
+    /// number of times still produces the uninterrupted trial's numbers.
+    fn deadline_trial<P>(
+        &self,
+        protocol: &P,
+        inputs: &[P::Input],
+        seed: u64,
+        expected: Color,
+        deadline: Duration,
+    ) -> Result<TrialVerdict, FrameworkError>
+    where
+        P: Protocol<Output = Color>,
+    {
+        let max_steps = self.runner.max_steps;
+        let rng = trial_rng(self.runner.sweep_seed, seed);
+        let mut engine = cold_count_engine(protocol, inputs, rng);
+        let mut attempts = 1u32;
+        loop {
+            let start = Instant::now();
+            let mut paused = None;
+            let outcome =
+                engine.run_until_silent_checkpointed(max_steps, self.checkpoint_every, |e| {
+                    if start.elapsed() >= deadline {
+                        paused = Some(e.checkpoint());
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+            if !matches!(outcome, Err(FrameworkError::Interrupted { .. })) {
+                let stabilized = settle(outcome)?;
+                return Ok(TrialVerdict::Completed(TrialResult::grade(
+                    &engine.report(),
+                    stabilized,
+                    expected,
+                    max_steps,
+                )));
+            }
+            if attempts >= self.max_attempts {
+                return Ok(TrialVerdict::DeadlineExceeded { attempts });
+            }
+            attempts += 1;
+            let checkpoint = paused
+                .take()
+                .expect("the deadline hook always checkpoints before pausing");
+            engine = CountEngine::resume(protocol, UniformCountScheduler::new(), &checkpoint)
+                .expect("an in-memory checkpoint of a live engine is always resumable");
+        }
     }
 
     /// Fans `f(seed)` out like [`TrialRunner::run_with`], but panic-isolated
@@ -840,8 +788,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs a protocol whose output is a [`Color`] to silence under the given
-/// indexed scheduler and compares the consensus with `expected`. The RNG is
-/// the counter-based trial stream `(0, seed)`.
+/// indexed scheduler and generator (e.g. a [`trial_rng`] stream) and
+/// compares the consensus with `expected` — the entry point for E5/E8's
+/// named schedulers, which only the agent-indexed engine can run; uniform
+/// trials go through [`Backend::trial`].
 ///
 /// A run that exhausts `max_steps` without silence is reported with
 /// `stabilized == false, correct == false` rather than as an error — for
@@ -850,35 +800,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// # Errors
 ///
 /// Propagates non-budget framework errors (scheduler misbehaviour).
-pub fn run_trial<P, Sch>(
-    protocol: &P,
-    inputs: &[P::Input],
-    scheduler: Sch,
-    seed: u64,
-    expected: Color,
-    max_steps: u64,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-    Sch: Scheduler<P::State>,
-{
-    run_trial_rng(
-        protocol,
-        inputs,
-        scheduler,
-        trial_rng(0, seed),
-        expected,
-        max_steps,
-    )
-}
-
-/// [`run_trial`] with an explicitly constructed generator (e.g. a
-/// [`trial_rng`] stream with a non-zero sweep seed).
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors (scheduler misbehaviour).
-pub fn run_trial_rng<P, Sch, R>(
+pub fn run_trial<P, Sch, R>(
     protocol: &P,
     inputs: &[P::Input],
     scheduler: Sch,
@@ -888,293 +810,145 @@ pub fn run_trial_rng<P, Sch, R>(
 ) -> Result<TrialResult, FrameworkError>
 where
     P: Protocol<Output = Color>,
+    Sch: Scheduler<P::State>,
+    R: RngCore,
+{
+    let (sim, stabilized) = simulate(protocol, inputs, scheduler, rng, max_steps, |_| {})?;
+    Ok(TrialResult::grade(
+        &sim.report(),
+        stabilized,
+        expected,
+        max_steps,
+    ))
+}
+
+/// The one count-backend trial. With no table it runs the cold
+/// [`SparseActivity`] engine; with `(snapshot, table)` it warm-starts a
+/// [`CompactCountEngine`] from the snapshot, used as a lookup oracle
+/// (canonical slot numbering keeps the result bit-identical to the cold
+/// trial), and exports the trial's discoveries to `table` afterwards — even
+/// on budget exhaustion: partial structure is still valid structure.
+#[allow(clippy::type_complexity)]
+fn count_trial<P, R>(
+    protocol: &P,
+    inputs: &[P::Input],
+    rng: R,
+    expected: Color,
+    max_steps: u64,
+    warm: Option<(&Arc<TableSnapshot<P::State>>, &TransitionTable<P>)>,
+) -> Result<TrialResult, FrameworkError>
+where
+    P: Protocol<Output = Color>,
+    R: RngCore,
+{
+    fn graded<P, A, R>(
+        engine: &mut CountEngine<'_, P, UniformCountScheduler, A, R>,
+        expected: Color,
+        max_steps: u64,
+    ) -> Result<TrialResult, FrameworkError>
+    where
+        P: Protocol<Output = Color>,
+        A: Activity,
+        R: RngCore,
+    {
+        let stabilized = settle(engine.run_until_silent(max_steps))?;
+        Ok(TrialResult::grade(
+            &engine.report(),
+            stabilized,
+            expected,
+            max_steps,
+        ))
+    }
+    match warm {
+        None => graded(
+            &mut cold_count_engine(protocol, inputs, rng),
+            expected,
+            max_steps,
+        ),
+        Some((snapshot, table)) => {
+            let mut engine = CompactCountEngine::with_snapshot_rng(
+                protocol,
+                count_config(protocol, inputs),
+                UniformCountScheduler::new(),
+                rng,
+                Arc::clone(snapshot),
+            );
+            let result = graded(&mut engine, expected, max_steps);
+            engine.export_to(table);
+            result
+        }
+    }
+}
+
+/// The cold count engine every unwarmed count run starts from.
+fn cold_count_engine<'p, P, R>(
+    protocol: &'p P,
+    inputs: &[P::Input],
+    rng: R,
+) -> CountEngine<'p, P, UniformCountScheduler, SparseActivity, R>
+where
+    P: Protocol,
+    R: RngCore,
+{
+    CountEngine::with_rng(
+        protocol,
+        count_config(protocol, inputs),
+        UniformCountScheduler::new(),
+        rng,
+    )
+}
+
+fn count_config<P: Protocol>(protocol: &P, inputs: &[P::Input]) -> CountConfig<P::State> {
+    inputs.iter().map(|i| protocol.input(i)).collect()
+}
+
+/// Runs the indexed engine to silence, returning it with whether silence
+/// was reached (see [`settle`]); `observer` sees every interaction.
+fn simulate<'p, P, Sch, R>(
+    protocol: &'p P,
+    inputs: &[P::Input],
+    scheduler: Sch,
+    rng: R,
+    max_steps: u64,
+    observer: impl FnMut(&StepReport<P::State>),
+) -> Result<(Simulation<'p, P, Sch, R>, bool), FrameworkError>
+where
+    P: Protocol,
     Sch: Scheduler<P::State>,
     R: RngCore,
 {
     let population = Population::from_inputs(protocol, inputs);
     let check_interval = (population.len() as u64).max(16);
     let mut sim = Simulation::with_rng(protocol, population, scheduler, rng);
-    match sim.run_until_silent(max_steps, check_interval) {
-        Ok(report) => Ok(TrialResult {
-            steps_to_silence: report.steps_to_silence,
-            steps_to_consensus: report.steps_to_consensus,
-            state_changes: report.state_changes,
-            stabilized: true,
-            correct: report.consensus == Some(expected),
-        }),
-        Err(FrameworkError::MaxStepsExceeded { .. }) => Ok(TrialResult {
-            steps_to_silence: sim.stats().last_change_step,
-            steps_to_consensus: max_steps,
-            state_changes: sim.stats().state_changes,
-            stabilized: false,
-            correct: false,
-        }),
+    let stabilized = settle(sim.run_until_silent_observed(max_steps, check_interval, observer))?;
+    Ok((sim, stabilized))
+}
+
+/// Whether a run reached silence: budget exhaustion is a recorded finding
+/// (`false`), every other framework error propagates.
+fn settle<T>(outcome: Result<T, FrameworkError>) -> Result<bool, FrameworkError> {
+    match outcome {
+        Ok(_) => Ok(true),
+        Err(FrameworkError::MaxStepsExceeded { .. }) => Ok(false),
         Err(e) => Err(e),
     }
 }
 
-/// Like [`run_trial`] but on the batched count engine (uniform-random
-/// scheduling only) — the fast path for large populations. The RNG is the
-/// counter-based trial stream `(0, seed)`.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial<P>(
-    protocol: &P,
-    inputs: &[P::Input],
-    seed: u64,
-    expected: Color,
-    max_steps: u64,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-{
-    run_count_trial_rng(protocol, inputs, trial_rng(0, seed), expected, max_steps)
-}
-
-/// [`run_count_trial`] with an explicitly constructed generator.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial_rng<P, R>(
-    protocol: &P,
-    inputs: &[P::Input],
-    rng: R,
-    expected: Color,
-    max_steps: u64,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-    R: RngCore,
-{
-    let config: CountConfig<P::State> = inputs.iter().map(|i| protocol.input(i)).collect();
-    let mut engine = CountEngine::<_, _, SparseActivity, _>::with_rng(
-        protocol,
-        config,
-        UniformCountScheduler::new(),
-        rng,
-    );
-    count_trial_outcome(&mut engine, expected, max_steps)
-}
-
-/// Like [`run_count_trial`], but warm-started from `table`, used as a
-/// lookup oracle: activity and outcomes the table already knows replace
-/// protocol calls, while slot numbering stays canonical — the result is
-/// **bit-identical** to the cold [`run_count_trial`] of the same seed,
-/// whatever the table contains. The trial's own discoveries are exported
-/// back into the table afterwards (even on budget exhaustion: partial
-/// structure is still valid structure).
-///
-/// Warm trials run on the [`CompactCountEngine`], whose compressed rows
-/// keep the per-trial adjacency footprint more than an order of magnitude
-/// under the flat layout. Sampling is representation-independent, so this
-/// changes no trajectory.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial_warm<P>(
-    protocol: &P,
-    inputs: &[P::Input],
-    seed: u64,
-    expected: Color,
-    max_steps: u64,
-    table: &TransitionTable<P>,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-{
-    run_count_trial_warm_rng(
-        protocol,
-        inputs,
-        trial_rng(0, seed),
-        expected,
-        max_steps,
-        table,
-    )
-}
-
-/// [`run_count_trial_warm`] with an explicitly constructed generator.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial_warm_rng<P, R>(
-    protocol: &P,
-    inputs: &[P::Input],
-    rng: R,
-    expected: Color,
-    max_steps: u64,
-    table: &TransitionTable<P>,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-    R: RngCore,
-{
-    let config: CountConfig<P::State> = inputs.iter().map(|i| protocol.input(i)).collect();
-    let mut engine = CompactCountEngine::<_, _, R>::with_table_rng(
-        protocol,
-        config,
-        UniformCountScheduler::new(),
-        rng,
-        table,
-    );
-    let result = count_trial_outcome(&mut engine, expected, max_steps);
-    engine.export_to(table);
-    result
-}
-
-/// [`run_count_trial_warm_rng`] against a pre-captured epoch snapshot: the
-/// trial warm-starts from `snapshot` (no per-trial capture) and still
-/// publishes its discoveries to `table`. [`TrialRunner::run_with_table`]
-/// captures one snapshot per sweep and funnels every fanned-out trial
-/// through here.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial_warm_snap_rng<P, R>(
-    protocol: &P,
-    inputs: &[P::Input],
-    rng: R,
-    expected: Color,
-    max_steps: u64,
-    snapshot: &Arc<TableSnapshot<P::State>>,
-    table: &TransitionTable<P>,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-    R: RngCore,
-{
-    let config: CountConfig<P::State> = inputs.iter().map(|i| protocol.input(i)).collect();
-    let mut engine = CompactCountEngine::<_, _, R>::with_snapshot_rng(
-        protocol,
-        config,
-        UniformCountScheduler::new(),
-        rng,
-        Arc::clone(snapshot),
-    );
-    let result = count_trial_outcome(&mut engine, expected, max_steps);
-    engine.export_to(table);
-    result
-}
-
-/// Shared measurement tail of the count-backend trial runners.
-fn count_trial_outcome<P, A, R>(
-    engine: &mut CountEngine<'_, P, UniformCountScheduler, A, R>,
-    expected: Color,
-    max_steps: u64,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-    A: Activity,
-    R: RngCore,
-{
-    match engine.run_until_silent(max_steps) {
-        Ok(report) => Ok(TrialResult {
+impl TrialResult {
+    /// Grades a finished run from its report: a run that stopped on its
+    /// budget keeps its partial counts but reports `max_steps` as its
+    /// consensus time and is never correct.
+    fn grade(report: &RunReport<Color>, stabilized: bool, expected: Color, max_steps: u64) -> Self {
+        TrialResult {
             steps_to_silence: report.steps_to_silence,
-            steps_to_consensus: report.steps_to_consensus,
-            state_changes: report.state_changes,
-            stabilized: true,
-            correct: report.consensus == Some(expected),
-        }),
-        Err(FrameworkError::MaxStepsExceeded { .. }) => Ok(TrialResult {
-            steps_to_silence: engine.stats().last_change_step,
-            steps_to_consensus: max_steps,
-            state_changes: engine.stats().state_changes,
-            stabilized: false,
-            correct: false,
-        }),
-        Err(e) => Err(e),
-    }
-}
-
-/// A deadline-bounded count-backend trial: runs the same cold sparse engine
-/// as [`Backend::Count`]'s [`trial_stream`](Backend::trial_stream) (so a
-/// completed verdict is bit-identical to the unsupervised trial of the same
-/// `(sweep_seed, seed)`), but offers a pause point to a wall-clock deadline
-/// every `checkpoint_every` state changes. When the deadline fires, the
-/// engine checkpoints in memory and the trial retries *from that
-/// checkpoint* with a fresh clock — progress is never discarded — up to
-/// `max_attempts` total attempts before settling as
-/// [`TrialVerdict::DeadlineExceeded`].
-///
-/// The deadline hook only observes the engine (no RNG draws), and
-/// checkpoint resume is exact, so a trial that pauses and resumes any
-/// number of times still produces the uninterrupted trial's numbers.
-#[allow(clippy::too_many_arguments)]
-pub fn run_count_trial_supervised<P>(
-    protocol: &P,
-    inputs: &[P::Input],
-    sweep_seed: u64,
-    seed: u64,
-    expected: Color,
-    max_steps: u64,
-    deadline: Duration,
-    checkpoint_every: u64,
-    max_attempts: u32,
-) -> TrialVerdict
-where
-    P: Protocol<Output = Color>,
-{
-    let max_attempts = max_attempts.max(1);
-    let every = checkpoint_every.max(1);
-    let config: CountConfig<P::State> = inputs.iter().map(|i| protocol.input(i)).collect();
-    let mut engine = CountEngine::<_, _, SparseActivity, _>::with_rng(
-        protocol,
-        config,
-        UniformCountScheduler::new(),
-        trial_rng(sweep_seed, seed),
-    );
-    let mut attempts = 1u32;
-    loop {
-        let start = Instant::now();
-        let mut paused = None;
-        let outcome = engine.run_until_silent_checkpointed(max_steps, every, |e| {
-            if start.elapsed() >= deadline {
-                paused = Some(e.checkpoint());
-                ControlFlow::Break(())
+            steps_to_consensus: if stabilized {
+                report.steps_to_consensus
             } else {
-                ControlFlow::Continue(())
-            }
-        });
-        match outcome {
-            Ok(report) => {
-                return TrialVerdict::Completed(TrialResult {
-                    steps_to_silence: report.steps_to_silence,
-                    steps_to_consensus: report.steps_to_consensus,
-                    state_changes: report.state_changes,
-                    stabilized: true,
-                    correct: report.consensus == Some(expected),
-                });
-            }
-            Err(FrameworkError::MaxStepsExceeded { .. }) => {
-                return TrialVerdict::Completed(TrialResult {
-                    steps_to_silence: engine.stats().last_change_step,
-                    steps_to_consensus: max_steps,
-                    state_changes: engine.stats().state_changes,
-                    stabilized: false,
-                    correct: false,
-                });
-            }
-            Err(FrameworkError::Interrupted { .. }) => {
-                if attempts >= max_attempts {
-                    return TrialVerdict::DeadlineExceeded { attempts };
-                }
-                attempts += 1;
-                let checkpoint = paused
-                    .take()
-                    .expect("the deadline hook always checkpoints before pausing");
-                engine = CountEngine::resume(protocol, UniformCountScheduler::new(), &checkpoint)
-                    .expect("an in-memory checkpoint of a live engine is always resumable");
-            }
-            Err(e) => {
-                return TrialVerdict::Poisoned {
-                    message: format!("framework error: {e}"),
-                };
-            }
+                max_steps
+            },
+            state_changes: report.state_changes,
+            stabilized,
+            correct: stabilized && report.consensus == Some(expected),
         }
     }
 }
@@ -1192,7 +966,7 @@ mod tests {
             &protocol,
             &inputs,
             UniformPairScheduler::new(),
-            1,
+            trial_rng(0, 1),
             Color(0),
             1_000_000,
         )
@@ -1211,7 +985,7 @@ mod tests {
             &protocol,
             &inputs,
             UniformPairScheduler::new(),
-            2,
+            trial_rng(0, 2),
             Color(0),
             3,
         )
@@ -1224,7 +998,9 @@ mod tests {
     fn count_trial_matches_expectation() {
         let protocol = CirclesProtocol::new(2).unwrap();
         let inputs: Vec<Color> = (0..50).map(|i| Color(u16::from(i < 30))).collect();
-        let result = run_count_trial(&protocol, &inputs, 3, Color(1), 10_000_000).unwrap();
+        let result = Backend::Count
+            .trial(&protocol, &inputs, 0, 3, Color(1), 10_000_000)
+            .unwrap();
         assert!(result.stabilized);
         assert!(result.correct);
     }
@@ -1233,7 +1009,9 @@ mod tests {
     fn count_trial_budget_exhaustion_records_partial_stats() {
         let protocol = CirclesProtocol::new(3).unwrap();
         let inputs: Vec<Color> = (0..60).map(|i| Color((i % 3) as u16)).collect();
-        let result = run_count_trial(&protocol, &inputs, 2, Color(0), 3).unwrap();
+        let result = Backend::Count
+            .trial(&protocol, &inputs, 0, 2, Color(0), 3)
+            .unwrap();
         assert!(!result.stabilized);
         assert!(!result.correct);
         assert_eq!(result.steps_to_consensus, 3);
@@ -1245,7 +1023,7 @@ mod tests {
         let inputs: Vec<Color> = (0..30).map(|i| Color(u16::from(i >= 20))).collect();
         for backend in Backend::ALL {
             let outcome = backend
-                .run_to_silence(&protocol, &inputs, 5, 100_000_000)
+                .run_to_silence(&protocol, &inputs, 0, 5, 100_000_000, None)
                 .unwrap();
             assert!(outcome.stabilized, "{} did not stabilize", backend.name());
             assert_eq!(outcome.report.consensus, Some(Color(0)));
@@ -1262,9 +1040,46 @@ mod tests {
         let protocol = CirclesProtocol::new(3).unwrap();
         let inputs: Vec<Color> = (0..60).map(|i| Color((i % 3) as u16)).collect();
         for backend in Backend::ALL {
-            let outcome = backend.run_to_silence(&protocol, &inputs, 2, 3).unwrap();
+            let outcome = backend
+                .run_to_silence(&protocol, &inputs, 0, 2, 3, None)
+                .unwrap();
             assert!(!outcome.stabilized, "{}", backend.name());
             assert_eq!(outcome.config.n(), 60);
+        }
+    }
+
+    #[test]
+    fn observing_a_run_does_not_change_it() {
+        // The observer only watches: on both backends the observed run must
+        // report, end and stabilize exactly like the unobserved one, and the
+        // observer must see every state change once.
+        let protocol = CirclesProtocol::new(3).unwrap();
+        let inputs: Vec<Color> = (0..40).map(|i| Color((i % 3) as u16)).collect();
+        for backend in Backend::ALL {
+            for (sweep_seed, seed, max_steps) in
+                [(0, 3, 100_000_000), (7, 5, 100_000_000), (1, 2, 50)]
+            {
+                let plain = backend
+                    .run_to_silence(&protocol, &inputs, sweep_seed, seed, max_steps, None)
+                    .unwrap();
+                let mut changes = 0u64;
+                let mut count = |_: &_, _: &_, _: &_, _: &_| changes += 1;
+                let observed = backend
+                    .run_to_silence(
+                        &protocol,
+                        &inputs,
+                        sweep_seed,
+                        seed,
+                        max_steps,
+                        Some(&mut count),
+                    )
+                    .unwrap();
+                let label = format!("{} ({sweep_seed}, {seed})", backend.name());
+                assert_eq!(observed.report, plain.report, "{label}");
+                assert_eq!(observed.config, plain.config, "{label}");
+                assert_eq!(observed.stabilized, plain.stabilized, "{label}");
+                assert_eq!(changes, plain.report.state_changes, "{label}");
+            }
         }
     }
 
@@ -1289,9 +1104,30 @@ mod tests {
         let again = runner.run_with_table(&protocol, &inputs, Color(0), &table);
         assert_eq!(again, cold, "an already-warm table changes nothing");
         assert_eq!(table.len(), before, "warm sweep discovers nothing new");
-        // The builder flag routes through the same path.
-        let flagged = runner.clone().warm(true).run(&protocol, &inputs, Color(0));
-        assert_eq!(flagged, cold);
+    }
+
+    #[test]
+    fn run_cached_on_the_indexed_backend_is_run_and_writes_no_store() {
+        let dir = std::env::temp_dir().join(format!("pp-cache-indexed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let protocol = CirclesProtocol::new(3).unwrap();
+        let inputs: Vec<Color> = (0..30).map(|i| Color(u16::from(i >= 20))).collect();
+        let runner = TrialRunner::new(Backend::Indexed).seeds(4).threads(2);
+        let plain = runner.run(&protocol, &inputs, Color(0));
+        let cached = runner
+            .clone()
+            .table_cache_dir(&dir)
+            .run_cached(&protocol, &inputs, Color(0));
+        assert_eq!(cached, plain);
+        let stores = std::fs::read_dir(&dir).into_iter().flatten().flatten();
+        let stores: Vec<_> = stores
+            .filter(|entry| entry.path().extension().is_some_and(|ext| ext == "ppts"))
+            .collect();
+        assert!(
+            stores.is_empty(),
+            "indexed sweeps persist no table: {stores:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1303,12 +1139,9 @@ mod tests {
         let inputs: Vec<Color> = (0..50).map(|i| Color((i % 3) as u16)).collect();
         for seed in 0..5 {
             let table = TransitionTable::new();
-            let cold =
-                run_count_trial_warm(&protocol, &inputs, seed, Color(0), u64::MAX / 2, &table)
-                    .unwrap();
-            let warm =
-                run_count_trial_warm(&protocol, &inputs, seed, Color(0), u64::MAX / 2, &table)
-                    .unwrap();
+            let runner = TrialRunner::new(Backend::Count).seed_list(vec![seed]);
+            let cold = runner.run_with_table(&protocol, &inputs, Color(0), &table);
+            let warm = runner.run_with_table(&protocol, &inputs, Color(0), &table);
             assert_eq!(warm, cold, "seed {seed}");
         }
     }
@@ -1319,7 +1152,7 @@ mod tests {
         let inputs: Vec<Color> = (0..40).map(|i| Color(u16::from(i < 10))).collect();
         for backend in Backend::ALL {
             let result = backend
-                .trial(&protocol, &inputs, 4, Color(0), 100_000_000)
+                .trial(&protocol, &inputs, 0, 4, Color(0), 100_000_000)
                 .unwrap();
             assert!(result.stabilized && result.correct, "{}", backend.name());
         }
@@ -1348,7 +1181,7 @@ mod tests {
                 panic!("injected fault in seed 3");
             }
             Backend::Count
-                .trial_stream(&protocol, &inputs, 0, seed, Color(0), u64::MAX / 2)
+                .trial(&protocol, &inputs, 0, seed, Color(0), u64::MAX / 2)
                 .expect("trial failed")
         });
         assert_eq!(verdicts.len(), 6);
@@ -1376,7 +1209,7 @@ mod tests {
         let inputs: Vec<Color> = (0..60).map(|i| Color((i % 3) as u16)).collect();
         let runner = TrialRunner::new(Backend::Count).seeds(5).threads(2);
         let clean = runner.run(&protocol, &inputs, Color(0));
-        // No deadline: the plain trial_stream path.
+        // No deadline: the plain Backend::trial path.
         let plain = runner
             .clone()
             .supervised()
@@ -1403,38 +1236,33 @@ mod tests {
         let protocol = CirclesProtocol::new(3).unwrap();
         let inputs: Vec<Color> = (0..50).map(|i| Color((i % 3) as u16)).collect();
         let clean = Backend::Count
-            .trial_stream(&protocol, &inputs, 0, 1, Color(0), u64::MAX / 2)
+            .trial(&protocol, &inputs, 0, 1, Color(0), u64::MAX / 2)
             .unwrap();
-        let verdict = run_count_trial_supervised(
-            &protocol,
-            &inputs,
-            0,
-            1,
-            Color(0),
-            u64::MAX / 2,
-            Duration::ZERO,
-            40,
-            100_000,
-        );
-        assert_eq!(verdict.result(), Some(&clean));
+        let verdicts = TrialRunner::new(Backend::Count)
+            .seed_list(vec![1])
+            .supervised()
+            .deadline(Duration::ZERO)
+            .checkpoint_every(40)
+            .max_attempts(100_000)
+            .run(&protocol, &inputs, Color(0));
+        assert_eq!(verdicts[0].result(), Some(&clean));
     }
 
     #[test]
     fn deadline_give_up_is_a_typed_verdict_with_the_attempt_count() {
         let protocol = CirclesProtocol::new(3).unwrap();
         let inputs: Vec<Color> = (0..60).map(|i| Color((i % 3) as u16)).collect();
-        let verdict = run_count_trial_supervised(
-            &protocol,
-            &inputs,
-            0,
-            2,
-            Color(0),
-            u64::MAX / 2,
-            Duration::ZERO,
-            1,
-            2,
+        let verdicts = TrialRunner::new(Backend::Count)
+            .seed_list(vec![2])
+            .supervised()
+            .deadline(Duration::ZERO)
+            .checkpoint_every(1)
+            .max_attempts(2)
+            .run(&protocol, &inputs, Color(0));
+        assert_eq!(
+            verdicts,
+            vec![TrialVerdict::DeadlineExceeded { attempts: 2 }]
         );
-        assert_eq!(verdict, TrialVerdict::DeadlineExceeded { attempts: 2 });
     }
 
     #[test]
@@ -1454,7 +1282,7 @@ mod tests {
         let trial = |seed: u64| {
             computed.fetch_add(1, Ordering::Relaxed);
             Backend::Count
-                .trial_stream(&protocol, &inputs, 0, seed, Color(0), u64::MAX / 2)
+                .trial(&protocol, &inputs, 0, seed, Color(0), u64::MAX / 2)
                 .expect("trial failed")
         };
         let first = supervised.run_with(trial);

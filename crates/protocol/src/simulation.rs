@@ -241,28 +241,7 @@ where
         max_steps: u64,
         check_interval: u64,
     ) -> Result<RunReport<P::Output>, FrameworkError> {
-        let interval = check_interval.max(1);
-        let mut next_check = self.stats.steps + interval;
-        // A population of one agent is vacuously silent.
-        if self.population.len() < 2 {
-            return Ok(self.report());
-        }
-        if self.population.is_silent(self.protocol) {
-            return Ok(self.report());
-        }
-        while self.stats.steps < max_steps {
-            self.step()?;
-            if self.stats.steps >= next_check {
-                next_check = self.stats.steps + interval;
-                if self.population.is_silent(self.protocol) {
-                    return Ok(self.report());
-                }
-            }
-        }
-        if self.population.is_silent(self.protocol) {
-            return Ok(self.report());
-        }
-        Err(FrameworkError::MaxStepsExceeded { max_steps })
+        self.run_until_silent_observed(max_steps, check_interval, |_| {})
     }
 
     /// Runs until `condition` holds on the population (checked after every
@@ -327,6 +306,7 @@ where
     {
         let interval = check_interval.max(1);
         let mut next_check = self.stats.steps + interval;
+        // A population of one agent is vacuously silent.
         if self.population.len() < 2 || self.population.is_silent(self.protocol) {
             return Ok(self.report());
         }
