@@ -124,7 +124,7 @@ fn one_run(n: usize, k: u16, seed: u64, max_steps: u64, backend: Backend) -> Exc
         last_energy = next_energy;
     };
     let outcome = backend
-        .run_to_silence(&protocol, &inputs, 0, seed, max_steps, Some(&mut observer))
+        .run_to_silence(&protocol, &inputs, seed, max_steps, Some(&mut observer))
         .expect("framework error");
     assert!(outcome.stabilized, "run did not stabilize within budget");
 

@@ -85,7 +85,7 @@ fn one_run(n: usize, k: u16, ways: u16, seed: u64, max_steps: u64, backend: Back
     let analysis = TieAnalysis::of(&inputs, k).expect("valid tie workload");
     assert!(analysis.is_tie());
     let outcome = backend
-        .run_to_silence(&protocol, &inputs, 0, seed, max_steps, None)
+        .run_to_silence(&protocol, &inputs, seed, max_steps, None)
         .expect("tie run failed");
     assert!(outcome.stabilized, "tied instance did not stabilize");
     let population = Population::from_states(outcome.config.to_state_vec());

@@ -91,7 +91,7 @@ fn one_run(n: usize, k: u16, seed: u64, max_steps: u64, backend: Backend) -> Uno
     let inputs = opaquify(&base);
     let expected = opaquify(&[expected_plain])[0];
     let outcome = backend
-        .run_to_silence(&protocol, &inputs, 0, seed, max_steps, None)
+        .run_to_silence(&protocol, &inputs, seed, max_steps, None)
         .expect("unordered run failed");
     let population = Population::from_states(outcome.config.to_state_vec());
     let winner = UnorderedCircles::consensus_winner(&population);

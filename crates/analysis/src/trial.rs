@@ -117,6 +117,10 @@ pub struct SilenceOutcome<P: Protocol> {
     pub stabilized: bool,
 }
 
+/// A per-change observer for [`Backend::run_to_silence`], called with
+/// `(initiator_before, responder_before, initiator_after, responder_after)`.
+type Observer<'a, S> = dyn FnMut(&S, &S, &S, &S) + 'a;
+
 impl Backend {
     /// Both backends, for sweeps.
     pub const ALL: [Backend; 2] = [Backend::Indexed, Backend::Count];
@@ -131,9 +135,9 @@ impl Backend {
 
     /// Runs `protocol` from `inputs` to silence on this backend under
     /// uniform-random scheduling, returning report and final configuration.
-    /// The RNG is the counter-based trial stream `(sweep_seed, seed)` (see
+    /// The RNG is the counter-based trial stream `(0, seed)` (see
     /// [`trial_rng`](crate::runner::trial_rng())), so the trajectory is a
-    /// pure function of the key pair. Budget exhaustion is a recorded
+    /// pure function of `seed`. Budget exhaustion is a recorded
     /// finding (`stabilized == false`), not an error — matching
     /// [`trial`](Self::trial)'s convention.
     ///
@@ -154,20 +158,18 @@ impl Backend {
     /// # Errors
     ///
     /// Propagates non-budget framework errors (scheduler misbehaviour).
-    #[allow(clippy::type_complexity)]
     pub fn run_to_silence<P>(
         self,
         protocol: &P,
         inputs: &[P::Input],
-        sweep_seed: u64,
         seed: u64,
         max_steps: u64,
-        mut observer: Option<&mut dyn FnMut(&P::State, &P::State, &P::State, &P::State)>,
+        mut observer: Option<&mut Observer<'_, P::State>>,
     ) -> Result<SilenceOutcome<P>, FrameworkError>
     where
         P: Protocol,
     {
-        let rng = trial_rng(sweep_seed, seed);
+        let rng = trial_rng(0, seed);
         match self {
             Backend::Indexed => {
                 let (sim, stabilized) = simulate(
@@ -822,20 +824,26 @@ where
     ))
 }
 
+/// A warm start for [`count_trial`]: the snapshot it looks transitions up
+/// in and the table it exports its discoveries to.
+type Warm<'a, P> = (
+    &'a Arc<TableSnapshot<<P as Protocol>::State>>,
+    &'a TransitionTable<P>,
+);
+
 /// The one count-backend trial. With no table it runs the cold
 /// [`SparseActivity`] engine; with `(snapshot, table)` it warm-starts a
 /// [`CompactCountEngine`] from the snapshot, used as a lookup oracle
 /// (canonical slot numbering keeps the result bit-identical to the cold
 /// trial), and exports the trial's discoveries to `table` afterwards — even
 /// on budget exhaustion: partial structure is still valid structure.
-#[allow(clippy::type_complexity)]
 fn count_trial<P, R>(
     protocol: &P,
     inputs: &[P::Input],
     rng: R,
     expected: Color,
     max_steps: u64,
-    warm: Option<(&Arc<TableSnapshot<P::State>>, &TransitionTable<P>)>,
+    warm: Option<Warm<'_, P>>,
 ) -> Result<TrialResult, FrameworkError>
 where
     P: Protocol<Output = Color>,
@@ -1023,7 +1031,7 @@ mod tests {
         let inputs: Vec<Color> = (0..30).map(|i| Color(u16::from(i >= 20))).collect();
         for backend in Backend::ALL {
             let outcome = backend
-                .run_to_silence(&protocol, &inputs, 0, 5, 100_000_000, None)
+                .run_to_silence(&protocol, &inputs, 5, 100_000_000, None)
                 .unwrap();
             assert!(outcome.stabilized, "{} did not stabilize", backend.name());
             assert_eq!(outcome.report.consensus, Some(Color(0)));
@@ -1041,7 +1049,7 @@ mod tests {
         let inputs: Vec<Color> = (0..60).map(|i| Color((i % 3) as u16)).collect();
         for backend in Backend::ALL {
             let outcome = backend
-                .run_to_silence(&protocol, &inputs, 0, 2, 3, None)
+                .run_to_silence(&protocol, &inputs, 2, 3, None)
                 .unwrap();
             assert!(!outcome.stabilized, "{}", backend.name());
             assert_eq!(outcome.config.n(), 60);
@@ -1056,25 +1064,16 @@ mod tests {
         let protocol = CirclesProtocol::new(3).unwrap();
         let inputs: Vec<Color> = (0..40).map(|i| Color((i % 3) as u16)).collect();
         for backend in Backend::ALL {
-            for (sweep_seed, seed, max_steps) in
-                [(0, 3, 100_000_000), (7, 5, 100_000_000), (1, 2, 50)]
-            {
+            for (seed, max_steps) in [(3, 100_000_000), (5, 100_000_000), (2, 50)] {
                 let plain = backend
-                    .run_to_silence(&protocol, &inputs, sweep_seed, seed, max_steps, None)
+                    .run_to_silence(&protocol, &inputs, seed, max_steps, None)
                     .unwrap();
                 let mut changes = 0u64;
                 let mut count = |_: &_, _: &_, _: &_, _: &_| changes += 1;
                 let observed = backend
-                    .run_to_silence(
-                        &protocol,
-                        &inputs,
-                        sweep_seed,
-                        seed,
-                        max_steps,
-                        Some(&mut count),
-                    )
+                    .run_to_silence(&protocol, &inputs, seed, max_steps, Some(&mut count))
                     .unwrap();
-                let label = format!("{} ({sweep_seed}, {seed})", backend.name());
+                let label = format!("{} (seed {seed}, budget {max_steps})", backend.name());
                 assert_eq!(observed.report, plain.report, "{label}");
                 assert_eq!(observed.config, plain.config, "{label}");
                 assert_eq!(observed.stabilized, plain.stabilized, "{label}");
