@@ -11,13 +11,13 @@
 //!    symmetry masked off. The call ratio is **asserted ≥ 1.8×** (the
 //!    structural expectation is 2×: one call per unordered pair instead of
 //!    one per ordered pair).
-//! 2. `discovery/*_bytes_per_pair` — the same discovered adjacency held by
-//!    the PR-3 flat sparse index (`VecAdj`, 8 bytes/pair) and by the
-//!    compact index (shared symmetric rows, delta-varint or blocked-bitset
-//!    per row). Compact is **asserted ≤ 0.25×** the flat bytes/active-pair.
-//! 3. Warm engines on the sparse, compact and dense indexes, bulk-loaded
-//!    from one [`TransitionTable`] (same slot order, same seed), run to
-//!    silence — their `RunReport`s are **asserted bit-identical**, pinning
+//! 2. `discovery/compact_bytes_per_pair` — the discovered adjacency held by
+//!    the compact index (shared symmetric rows, delta-varint or
+//!    blocked-bitset per row). It is **asserted ≤ 2.0** bytes per active
+//!    pair; a flat `u32` row per orientation would need 8.
+//! 3. Warm engines on the compact and dense indexes, bulk-loaded from one
+//!    [`TransitionTable`] (same slot order, same seed), run to silence —
+//!    their `RunReport`s are **asserted bit-identical**, pinning
 //!    representation-independence of the sampling path at scale.
 //! 4. `discovery/quotient_*` — full `k³` enumeration (27 000 states,
 //!    rotation-closed unlike the scout set) discovered once through the
@@ -38,7 +38,7 @@ use circles_core::{CirclesProtocol, CirclesState};
 use pp_analysis::workloads::{margin_workload, true_winner};
 use pp_protocol::{
     CompactActivity, CountConfig, CountEngine, DenseActivity, EnumerableProtocol, Protocol,
-    SparseActivity, UniformCountScheduler,
+    UniformCountScheduler,
 };
 
 /// Forwards to an inner protocol while counting transition calls;
@@ -134,8 +134,8 @@ fn bench_discovery(c: &mut Criterion) {
     let table = scout.warm_table();
 
     // Part 1: symmetric vs forced-asymmetric discovery call counts. One
-    // discarded warmup first: the initial ~300 MB adjacency allocation
-    // pays first-touch page faults that would skew whichever variant runs
+    // discarded warmup first: the initial adjacency allocation pays
+    // first-touch page faults that would skew whichever variant runs
     // first.
     let _ = timed_discovery(&protocol, &states, false);
     let (sym_ns, sym_calls) = timed_discovery(&protocol, &states, false);
@@ -178,41 +178,27 @@ fn bench_discovery(c: &mut Criterion) {
         let r = e.run_until_silent(u64::MAX / 2).unwrap();
         (r, e.adjacency_bytes(), e.active_pairs())
     }
-    let (sparse_report, sparse_bytes, sparse_pairs) =
-        run_warm::<SparseActivity>(&protocol, &config, &table);
     let (compact_report, compact_bytes, compact_pairs) =
         run_warm::<CompactActivity>(&protocol, &config, &table);
     let (dense_report, _, dense_pairs) = run_warm::<DenseActivity>(&protocol, &config, &table);
     assert_eq!(
-        sparse_report, scout_report,
+        compact_report, scout_report,
         "a warm run must be bit-identical to the cold run of its seed"
     );
     assert_eq!(
-        sparse_report, compact_report,
-        "sparse and compact warm engines must execute identical trajectories"
+        compact_report, dense_report,
+        "compact and dense warm engines must execute identical trajectories"
     );
-    assert_eq!(
-        sparse_report, dense_report,
-        "sparse and dense warm engines must execute identical trajectories"
-    );
-    assert_eq!(sparse_pairs, compact_pairs);
-    assert_eq!(sparse_pairs, dense_pairs);
+    assert_eq!(compact_pairs, dense_pairs);
 
-    let sparse_bpp = sparse_bytes as f64 / sparse_pairs as f64;
     let compact_bpp = compact_bytes as f64 / compact_pairs as f64;
-    let bytes_ratio = compact_bpp / sparse_bpp;
-    criterion::report_external("discovery/active_pairs", sparse_pairs as f64, 1);
-    criterion::report_external("discovery/sparse_bytes_per_pair", sparse_bpp, 1);
+    criterion::report_external("discovery/active_pairs", compact_pairs as f64, 1);
     criterion::report_external("discovery/compact_bytes_per_pair", compact_bpp, 1);
-    criterion::report_external("discovery/compact_over_sparse_bytes_x", bytes_ratio, 1);
-    println!(
-        "discovery: {sparse_pairs} active pairs; flat {sparse_bpp:.2} B/pair vs \
-         compact {compact_bpp:.2} B/pair ({bytes_ratio:.3}x)"
-    );
+    println!("discovery: {compact_pairs} active pairs; compact {compact_bpp:.2} B/pair");
     assert!(
-        bytes_ratio <= 0.25,
-        "compact adjacency must be <= 0.25x the flat bytes/active-pair at \
-         slots >= 10^4, got {bytes_ratio:.3}x"
+        compact_bpp <= 2.0,
+        "compact adjacency must hold <= 2.0 bytes per active pair at \
+         slots >= 10^4, got {compact_bpp:.3}"
     );
 
     // Part 4: color-orbit quotient discovery over the full k³ enumeration.

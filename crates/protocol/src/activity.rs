@@ -4,27 +4,23 @@
 //! weight of *active* (state-changing) ordered slot pairs — `mass` — plus
 //! enough structure to draw one active pair with probability proportional to
 //! its weight `c_i · (c_j − [i = j])`. This module isolates that bookkeeping
-//! behind the [`Activity`] trait with three implementations:
+//! behind the [`Activity`] trait with two implementations:
 //!
-//! - [`SparseActivity`] (the default): per-slot adjacency lists of active
-//!   out-/in-neighbors stored as plain sorted `u32` vectors ([`VecAdj`]),
-//!   discovered lazily as states appear. A count change at slot `t` touches
-//!   only the rows active into `t` (`O(deg)` instead of `O(slots)`), changed
-//!   rows are collected in a dirty set and settled once per change-point,
-//!   and conditional pair draws go through a [`Fenwick`] tree over
-//!   `row_mass` in `O(log slots + deg)`.
-//! - [`CompactActivity`]: the same incremental index over a compressed row
-//!   store ([`CompactAdj`]) — blocked bitsets for dense rows,
-//!   delta-compressed LEB128 lists for sparse rows, chosen per row by
+//! - [`AdjActivity`] (the default, also named [`SparseActivity`] and
+//!   [`CompactActivity`]): per-slot rows of active out-/in-neighbors in a
+//!   compressed row store ([`CompactAdj`]) — delta-compressed LEB128 lists
+//!   for sparse rows, blocked bitsets for dense rows, chosen per row by
 //!   occupancy, with a single shared row set when the protocol is
-//!   [symmetric](crate::Protocol::is_symmetric). At `slots ≥ 10^4` it cuts
-//!   the bytes per active pair by well over 4× versus [`VecAdj`]'s flat
-//!   8 bytes, which is what keeps full-discovery runs feasible toward
-//!   `k = 40` Circles.
+//!   [symmetric](crate::Protocol::is_symmetric) — discovered lazily as
+//!   states appear. A count change at slot `t` touches only the rows active
+//!   into `t` (`O(deg)` instead of `O(slots)`), changed rows are marked in
+//!   a dirty bitset and settled once per change-point at a fixed cost per
+//!   row, and conditional pair draws scan 64-row block sums of `row_mass`,
+//!   then one block, then one adjacency row: `O(slots / 64 + deg)`.
 //! - [`DenseActivity`]: the original engine's bookkeeping — a dense
 //!   `slots × slots` pair matrix scanned per count change, a full
 //!   `row_mass` refresh per change-point and linear-scan sampling. Kept as
-//!   the reference baseline: replaying the same schedule through all three
+//!   the reference baseline: replaying the same schedule through both
 //!   indexes must produce bit-identical runs, and the `backend` bench
 //!   measures the per-change-point gap.
 //!
@@ -38,8 +34,6 @@
 //!
 //! All pair-weight arithmetic is `u128`, so populations are no longer capped
 //! at `u32::MAX` agents (the engine accepts up to `2^63 − 1`).
-
-use crate::fenwick::Fenwick;
 
 /// Read-only sampling interface over an activity index, used by
 /// [`CountView`](crate::CountView) to answer scheduler queries without
@@ -165,130 +159,39 @@ pub trait Activity: PairSampling + Default {
     fn adjacency_bytes(&self) -> usize;
 }
 
-/// Recomputes one row's mass from its count and in-column sum.
+/// Recomputes one row's mass from its count and in-column sum, wrapping,
+/// and whether it did not wrap: it wraps only when the diagonal is active
+/// but `col_in` misses the row's own count.
 #[inline]
-fn row_mass_of(count: u64, col_in: u64, diag_active: bool) -> u128 {
+fn row_mass_of(count: u64, col_in: u64, diag_active: bool) -> (u128, bool) {
     let c = u128::from(count);
-    c * u128::from(col_in) - if diag_active { c } else { 0 }
+    let (m, under) = (c * u128::from(col_in)).overflowing_sub(if diag_active { c } else { 0 });
+    (m, !under)
 }
 
-/// Row-storage strategy behind an [`AdjActivity`] index: which slots are
-/// active against which, in both orientations, with rows kept in ascending
-/// responder order.
-///
-/// Pairs arrive through [`add_pair`](AdjStore::add_pair) during discovery —
-/// always involving the newest slot, with the other endpoint ascending per
-/// direction — a pattern that lets implementations append to rows without
-/// ever inserting mid-row.
-pub trait AdjStore: Default + std::fmt::Debug {
-    /// Registers the next slot (id `slots()`), with no active pairs yet.
-    fn push_slot(&mut self);
-
-    /// Number of registered slots.
-    fn slots(&self) -> usize;
-
-    /// Declares (before any slot exists) that the adjacency is symmetric;
-    /// implementations may then serve in-row queries from the out-rows.
-    fn declare_symmetric(&mut self);
-
-    /// Marks the ordered pair `(i, j)` active. The endpoint equal to the
-    /// newest slot anchors the append; the other endpoint must arrive in
-    /// ascending order across calls, as [`Activity::add_slot`] discovery
-    /// produces.
-    fn add_pair(&mut self, i: usize, j: usize);
-
-    /// Whether the ordered pair `(i, j)` is active.
-    fn contains(&self, i: usize, j: usize) -> bool;
-
-    /// Visits the out-neighbors of `i` ascending while `f` returns `true`.
-    fn walk_out(&self, i: usize, f: impl FnMut(usize) -> bool);
-
-    /// Visits the in-neighbors of `j` (rows `r` with `(r, j)` active)
-    /// ascending while `f` returns `true`.
-    fn walk_in(&self, j: usize, f: impl FnMut(usize) -> bool);
-
-    /// Active ordered pairs stored.
-    fn pairs(&self) -> usize;
-
-    /// Heap bytes of adjacency payload.
-    fn bytes(&self) -> usize;
-}
-
-/// Plain sorted-`Vec<u32>` row store — one out-row and one in-row per slot,
-/// 8 bytes per active pair. The PR-3 representation, kept as the default
-/// and as the footprint baseline the compact store is measured against.
-#[derive(Debug, Default)]
-pub struct VecAdj {
-    /// `out[i]`: slots `j` (ascending) with `(i, j)` active.
-    out: Vec<Vec<u32>>,
-    /// `ins[j]`: slots `i` (ascending) with `(i, j)` active.
-    ins: Vec<Vec<u32>>,
-    pairs: usize,
-}
-
-impl AdjStore for VecAdj {
-    fn push_slot(&mut self) {
-        self.out.push(Vec::new());
-        self.ins.push(Vec::new());
-    }
-
-    fn slots(&self) -> usize {
-        self.out.len()
-    }
-
-    fn declare_symmetric(&mut self) {
-        // Keeps both orientations: the flat layout is the measured baseline
-        // and stays byte-identical to PR 3 regardless of protocol symmetry.
-    }
-
-    fn add_pair(&mut self, i: usize, j: usize) {
-        debug_assert!(self.out[i].last().is_none_or(|&l| (l as usize) < j));
-        debug_assert!(self.ins[j].last().is_none_or(|&l| (l as usize) < i));
-        self.out[i].push(j as u32);
-        self.ins[j].push(i as u32);
-        self.pairs += 1;
-    }
-
-    fn contains(&self, i: usize, j: usize) -> bool {
-        self.out[i].binary_search(&(j as u32)).is_ok()
-    }
-
-    fn walk_out(&self, i: usize, mut f: impl FnMut(usize) -> bool) {
-        for &j in &self.out[i] {
-            if !f(j as usize) {
-                return;
-            }
-        }
-    }
-
-    fn walk_in(&self, j: usize, mut f: impl FnMut(usize) -> bool) {
-        for &i in &self.ins[j] {
-            if !f(i as usize) {
-                return;
-            }
-        }
-    }
-
-    fn pairs(&self) -> usize {
-        self.pairs
-    }
-
-    fn bytes(&self) -> usize {
-        let payload = |rows: &[Vec<u32>]| -> usize { rows.iter().map(|r| r.capacity() * 4).sum() };
-        payload(&self.out) + payload(&self.ins)
-    }
+/// `sum − old + new` for a part `old` of `sum`, wrapping, and whether it
+/// did not wrap. One add of the two's-complement difference: a shrink must
+/// carry out of the top bit and a growth must not.
+#[inline]
+fn swap_part(sum: u128, old: u128, new: u128) -> (u128, bool) {
+    let (next, carry) = sum.overflowing_add(new.wrapping_sub(old));
+    (next, carry == (new < old))
 }
 
 /// One compressed adjacency row: delta-LEB128 while sparse, a blocked
-/// bitset once the varint payload would outgrow one. Both representations
-/// iterate in ascending id order, so draws agree bit-for-bit with the flat
-/// rows.
+/// bitset once the varint payload would outgrow one. Every representation
+/// iterates in ascending id order, so draws agree bit-for-bit with a plain
+/// sorted id list.
 #[derive(Debug, Clone)]
 enum CompactRow {
     /// Ascending ids as LEB128 varints: the first id absolute, then gaps.
     Sparse { bytes: Vec<u8>, last: u32, len: u32 },
     /// Bitset blocked into `u64` words, indexed by id.
     Dense { blocks: Vec<u64>, len: u32 },
+    /// A bitset of ids below 64, held inline: the index's rows while its
+    /// slot table fits in one word. [`AdjRows`] never uses it, so the
+    /// store's row representations stay as they are.
+    Word(u64),
 }
 
 /// Appends one LEB128 varint.
@@ -340,6 +243,21 @@ impl CompactRow {
                     *self = CompactRow::Dense { blocks, len: count };
                 }
             }
+            CompactRow::Word(word) => {
+                if id < 64 {
+                    *word |= 1 << id;
+                } else {
+                    // Past one word the row re-enters the varint/bitset
+                    // rule, as if it had been a varint row all along.
+                    let mut bits = *word;
+                    *self = CompactRow::new();
+                    while bits != 0 {
+                        self.push(bits.trailing_zeros(), slots);
+                        bits &= bits - 1;
+                    }
+                    self.push(id, slots);
+                }
+            }
             CompactRow::Dense { blocks, len } => {
                 let block = id as usize / 64;
                 if block >= blocks.len() {
@@ -375,6 +293,15 @@ impl CompactRow {
                     }
                 }
             }
+            CompactRow::Word(word) => {
+                let mut bits = *word;
+                while bits != 0 {
+                    if !f(bits.trailing_zeros()) {
+                        return;
+                    }
+                    bits &= bits - 1;
+                }
+            }
             CompactRow::Dense { blocks, .. } => {
                 for (b, &word) in blocks.iter().enumerate() {
                     let mut bits = word;
@@ -403,6 +330,7 @@ impl CompactRow {
                 });
                 found
             }
+            CompactRow::Word(word) => id < 64 && word >> id & 1 == 1,
             CompactRow::Dense { blocks, .. } => blocks
                 .get(id as usize / 64)
                 .is_some_and(|word| word >> (id % 64) & 1 == 1),
@@ -413,6 +341,7 @@ impl CompactRow {
         match self {
             CompactRow::Sparse { bytes, .. } => bytes.capacity(),
             CompactRow::Dense { blocks, .. } => blocks.capacity() * 8,
+            CompactRow::Word(_) => 0,
         }
     }
 
@@ -422,6 +351,7 @@ impl CompactRow {
         match self {
             CompactRow::Sparse { bytes, .. } => bytes.shrink_to_fit(),
             CompactRow::Dense { blocks, .. } => blocks.shrink_to_fit(),
+            CompactRow::Word(_) => {}
         }
     }
 }
@@ -560,6 +490,7 @@ impl AdjRows {
                 len: *len,
             },
             CompactRow::Dense { blocks, len } => RowRepr::Dense { blocks, len: *len },
+            CompactRow::Word(_) => unreachable!("row sets never hold one-word rows"),
         }
     }
 
@@ -623,11 +554,16 @@ impl AdjRows {
     }
 }
 
-/// Compressed per-row adjacency store: delta-LEB128 lists for sparse rows,
-/// blocked bitsets for dense rows (chosen per row by payload size), and a
-/// single shared row set when the adjacency is
-/// [declared symmetric](AdjStore::declare_symmetric) — in-rows then *are*
+/// Compressed per-row adjacency store behind [`AdjActivity`]: which slots
+/// are active against which, in both orientations, rows ascending.
+/// Delta-LEB128 lists hold sparse rows and blocked bitsets dense rows
+/// (chosen per row by payload size). Once the adjacency is declared
+/// symmetric a single row set serves both orientations: in-rows then *are*
 /// the out-rows, since a symmetric activity matrix equals its transpose.
+///
+/// Pairs arrive during discovery always involving the newest slot, with the
+/// other endpoint ascending per direction, so rows are only ever appended
+/// to.
 #[derive(Debug)]
 pub struct CompactAdj {
     out: Vec<CompactRow>,
@@ -646,11 +582,22 @@ impl Default for CompactAdj {
     }
 }
 
-impl AdjStore for CompactAdj {
+impl CompactAdj {
     fn push_slot(&mut self) {
-        self.out.push(CompactRow::new());
-        if let Some(ins) = &mut self.ins {
-            ins.push(CompactRow::new());
+        // While slot ids fit in one word, each new row starts as that word:
+        // at small k a bit walk is cheaper than decoding varints, and the
+        // rows stay a few bytes each.
+        let row = || {
+            if self.out.len() < 64 {
+                CompactRow::Word(0)
+            } else {
+                CompactRow::new()
+            }
+        };
+        let (out, ins) = (row(), row());
+        self.out.push(out);
+        if let Some(rows) = &mut self.ins {
+            rows.push(ins);
         }
     }
 
@@ -666,6 +613,8 @@ impl AdjStore for CompactAdj {
         self.ins = None;
     }
 
+    /// Marks the ordered pair `(i, j)` active; see the type docs for the
+    /// append order this relies on.
     fn add_pair(&mut self, i: usize, j: usize) {
         let slots = self.out.len();
         self.out[i].push(j as u32, slots);
@@ -679,18 +628,17 @@ impl AdjStore for CompactAdj {
         self.out[i].contains(j as u32)
     }
 
+    /// Visits the out-neighbors of `i` ascending while `f` returns `true`.
     fn walk_out(&self, i: usize, mut f: impl FnMut(usize) -> bool) {
         self.out[i].walk(|j| f(j as usize));
     }
 
+    /// Visits the in-neighbors of `j` (rows `r` with `(r, j)` active)
+    /// ascending while `f` returns `true`.
     fn walk_in(&self, j: usize, mut f: impl FnMut(usize) -> bool) {
         // Symmetric adjacency: row j of the transpose is row j itself.
         let rows = self.ins.as_ref().unwrap_or(&self.out);
         rows[j].walk(|i| f(i as usize));
-    }
-
-    fn pairs(&self) -> usize {
-        self.pairs
     }
 
     fn bytes(&self) -> usize {
@@ -699,89 +647,93 @@ impl AdjStore for CompactAdj {
     }
 }
 
-/// Slot count below which conditional sampling scans `row_mass` linearly
-/// instead of maintaining the Fenwick tree — at a handful of slots the
-/// sequential scan is faster than tree upkeep, and keeping the small-k
-/// path lean is what lets the sparse index replace the dense one
-/// everywhere.
-const FENWICK_MIN_SLOTS: usize = 64;
+/// Rows per block of `row_mass` partial sums. Sampling skips whole blocks
+/// before it scans rows. The sums are kept only once the slot table fills
+/// one block: below that a linear row scan is cheaper than any upkeep, and
+/// keeping the small-`k` path lean is what lets this index replace the
+/// dense one everywhere.
+const BLOCK: usize = 64;
 
-/// Adjacency-list activity index generic over its row storage — see the
-/// [module docs](self). [`SparseActivity`] and [`CompactActivity`] are the
-/// two instantiations.
-#[derive(Debug)]
-pub struct AdjActivity<R: AdjStore> {
-    adj: R,
+/// The adjacency-row activity index — see the [module docs](self).
+#[derive(Debug, Default)]
+pub struct AdjActivity {
+    adj: CompactAdj,
     /// Whether the diagonal pair `(i, i)` is active.
     diag: Vec<bool>,
     /// `col_in[i] = Σ_j active(i, j) · c_j`.
     col_in: Vec<u64>,
     row_mass: Vec<u128>,
-    fenwick: Fenwick,
+    /// `blocks[b] = Σ row_mass[b · BLOCK .. (b + 1) · BLOCK]`. Empty until
+    /// the slot table reaches [`BLOCK`] slots (it never goes back).
+    blocks: Vec<u128>,
     mass: u128,
-    /// Rows whose mass is stale, awaiting [`Activity::settle`].
-    dirty: Vec<u32>,
-    /// `stamp[r] == epoch` iff row `r` is already queued in `dirty`.
-    stamp: Vec<u64>,
-    epoch: u64,
-    /// Whether the Fenwick tree is live. Below
-    /// [`FENWICK_MIN_SLOTS`] a linear row scan beats the tree's
-    /// maintenance cost, so the tree stays empty until the slot count
-    /// crosses the threshold (it never goes back).
-    use_fenwick: bool,
+    /// Bit `r % 64` of `dirty[r / 64]` is set iff row `r`'s mass is
+    /// stale, awaiting [`Activity::settle`].
+    dirty: Vec<u64>,
 }
 
-/// Sparse per-slot adjacency activity index over plain sorted vectors —
-/// the default; see the [module docs](self).
-pub type SparseActivity = AdjActivity<VecAdj>;
+/// The default activity index, under the name the cold engine uses.
+pub type SparseActivity = AdjActivity;
 
-/// The adjacency activity index over the compressed row store — the
-/// memory-lean choice for large slot tables; see the [module docs](self).
-pub type CompactActivity = AdjActivity<CompactAdj>;
+/// The default activity index, under the name the warm engine uses.
+pub type CompactActivity = AdjActivity;
 
-impl<R: AdjStore> Default for AdjActivity<R> {
-    fn default() -> Self {
-        AdjActivity {
-            adj: R::default(),
-            diag: Vec::new(),
-            col_in: Vec::new(),
-            row_mass: Vec::new(),
-            fenwick: Fenwick::new(),
-            mass: 0,
-            dirty: Vec::new(),
-            stamp: Vec::new(),
-            // Stamps start at zero, so the live epoch must not: a fresh row
-            // would otherwise read as already-queued and never get dirtied.
-            epoch: 1,
-            use_fenwick: false,
+impl AdjActivity {
+    /// Registers the next slot with no active pairs and no agents, and
+    /// returns its id.
+    fn push_slot(&mut self, diag: bool) -> usize {
+        let id = self.adj.slots();
+        assert!(id < u32::MAX as usize, "slot ids exceed u32");
+        self.adj.push_slot();
+        self.diag.push(diag);
+        self.col_in.push(0);
+        self.row_mass.push(0);
+        if id.is_multiple_of(64) {
+            self.dirty.push(0);
         }
+        // Open a block for every row past the covered ones: on the first
+        // crossing of BLOCK slots this sums the existing rows; later it
+        // opens a fresh zero-mass block.
+        let covered = self.blocks.len() * BLOCK;
+        if self.row_mass.len() >= BLOCK && covered < self.row_mass.len() {
+            self.blocks.push(self.row_mass[covered..].iter().sum());
+        }
+        id
     }
 }
 
-impl<R: AdjStore> PairSampling for AdjActivity<R> {
+impl PairSampling for AdjActivity {
     fn is_active(&self, i: usize, j: usize) -> bool {
         self.adj.contains(i, j)
     }
 
     fn sample_change(&self, r: u128, counts: &[u64]) -> (usize, usize) {
-        debug_assert!(self.dirty.is_empty(), "sampling from an unsettled index");
-        let (i, mut rem) = if self.use_fenwick {
-            self.fenwick.find(r)
-        } else {
-            // Few slots: a sequential scan is cheaper than the tree. Same
-            // row order as the tree search, so draws agree bit-for-bit.
-            let mut rem = r;
-            let mut row = usize::MAX;
-            for (i, &m) in self.row_mass.iter().enumerate() {
+        debug_assert!(
+            self.dirty.iter().all(|&w| w == 0),
+            "sampling from an unsettled index"
+        );
+        // Skip whole blocks (there are none below BLOCK slots), then scan
+        // rows from the block that holds `r`. Rows are visited in the same
+        // order either way, so the draw is that of a plain linear scan.
+        let mut rem = r;
+        let mut first = 0;
+        for &m in &self.blocks {
+            if rem < m {
+                break;
+            }
+            rem -= m;
+            first += BLOCK;
+        }
+        let i = (first..self.row_mass.len())
+            .find(|&i| {
+                let m = self.row_mass[i];
                 if rem < m {
-                    row = i;
-                    break;
+                    return true;
                 }
                 rem -= m;
-            }
-            assert!(row != usize::MAX, "sampling walked past the total mass");
-            (row, rem)
-        };
+                false
+            })
+            .expect("sampling walked past the total mass");
         let ci = u128::from(counts[i]);
         let mut found = usize::MAX;
         self.adj.walk_out(i, |j| {
@@ -801,23 +753,11 @@ impl<R: AdjStore> PairSampling for AdjActivity<R> {
     }
 }
 
-impl<R: AdjStore> Activity for AdjActivity<R> {
+impl Activity for AdjActivity {
     fn add_slot(&mut self, counts: &[u64], mut active: impl FnMut(usize, usize) -> bool) {
-        let id = self.adj.slots();
+        let id = self.push_slot(false);
         debug_assert_eq!(counts.len(), id + 1, "counts not extended for new slot");
         debug_assert_eq!(counts[id], 0, "new slot must hold zero agents");
-        assert!(id < u32::MAX as usize, "slot ids exceed u32");
-        self.adj.push_slot();
-        self.diag.push(false);
-        self.col_in.push(0);
-        self.row_mass.push(0);
-        self.stamp.push(0);
-        if self.use_fenwick {
-            self.fenwick.push(0);
-        } else if self.row_mass.len() >= FENWICK_MIN_SLOTS {
-            self.use_fenwick = true;
-            self.fenwick.rebuild(&self.row_mass);
-        }
         for j in 0..id {
             if active(id, j) {
                 self.adj.add_pair(id, j);
@@ -845,21 +785,9 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
     }
 
     fn add_slot_from_lists(&mut self, counts: &[u64], out: &[u32], ins: &[u32], diag: bool) {
-        let id = self.adj.slots();
+        let id = self.push_slot(diag);
         debug_assert_eq!(counts.len(), id + 1, "counts not extended for new slot");
         debug_assert_eq!(counts[id], 0, "new slot must hold zero agents");
-        assert!(id < u32::MAX as usize, "slot ids exceed u32");
-        self.adj.push_slot();
-        self.diag.push(diag);
-        self.col_in.push(0);
-        self.row_mass.push(0);
-        self.stamp.push(0);
-        if self.use_fenwick {
-            self.fenwick.push(0);
-        } else if self.row_mass.len() >= FENWICK_MIN_SLOTS {
-            self.use_fenwick = true;
-            self.fenwick.rebuild(&self.row_mass);
-        }
         // Out-row first (responders ascending), then the in-column
         // (initiators ascending), then the diagonal — every row receives
         // its appends in ascending id order, as add_pair requires.
@@ -881,60 +809,61 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
     }
 
     fn count_changed(&mut self, slot: usize, delta: i64) {
-        let epoch = self.epoch;
-        {
-            let col_in = &mut self.col_in;
-            let stamp = &mut self.stamp;
-            let dirty = &mut self.dirty;
-            self.adj.walk_in(slot, |r| {
-                col_in[r] = col_in[r]
-                    .checked_add_signed(delta)
-                    .expect("col_in underflow");
-                if stamp[r] != epoch {
-                    stamp[r] = epoch;
-                    dirty.push(r as u32);
-                }
-                true
-            });
-        }
+        let col_in = &mut self.col_in[..];
+        let dirty = &mut self.dirty[..];
         // The slot's own row mass scales with its count even when no active
-        // pair points into it.
-        if self.stamp[slot] != epoch {
-            self.stamp[slot] = epoch;
-            self.dirty.push(slot as u32);
-        }
+        // pair points into it. In-rows ascend, so each dirty word's bits
+        // are gathered in a register and stored once.
+        let mut word = slot / 64;
+        let mut bits = 1u64 << (slot % 64);
+        self.adj.walk_in(slot, |r| {
+            col_in[r] = col_in[r]
+                .checked_add_signed(delta)
+                .expect("col_in underflow");
+            if r / 64 != word {
+                dirty[word] |= bits;
+                (word, bits) = (r / 64, 0);
+            }
+            bits |= 1 << (r % 64);
+            true
+        });
+        dirty[word] |= bits;
     }
 
     fn settle(&mut self, counts: &[u64]) {
-        self.epoch += 1;
-        if self.dirty.is_empty() {
-            return;
-        }
-        let slots = self.row_mass.len();
-        // Point updates cost O(log slots) each; past this threshold one
-        // sequential rebuild of the whole tree is cheaper. Below the
-        // Fenwick threshold there is no tree to maintain at all.
-        let log2 = usize::BITS - slots.leading_zeros();
-        let rebuild = self.use_fenwick && self.dirty.len() * (log2 as usize) >= slots;
-        let point_update = self.use_fenwick && !rebuild;
-        for &r32 in &self.dirty {
-            let r = r32 as usize;
-            let new = row_mass_of(counts[r], self.col_in[r], self.diag[r]);
-            let old = self.row_mass[r];
-            self.row_mass[r] = new;
-            if new >= old {
-                self.mass += new - old;
-            } else {
-                self.mass -= old - new;
+        // Each row costs a fixed number of checked updates: its own mass,
+        // the total and (past BLOCK slots) its block's sum. The overflow
+        // flags are gathered without branching and checked after the loop:
+        // a desync panics instead of wrapping, in release builds too.
+        let (mut rows_ok, mut mass_ok, mut blocks_ok) = (true, true, true);
+        let mut mass = self.mass;
+        let blocks = &mut self.blocks[..];
+        let row_mass = &mut self.row_mass[..];
+        for (w, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let r = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (new, ok) = row_mass_of(counts[r], self.col_in[r], self.diag[r]);
+                rows_ok &= ok;
+                let old = std::mem::replace(&mut row_mass[r], new);
+                let (sum, ok) = swap_part(mass, old, new);
+                mass_ok &= ok;
+                mass = sum;
+                if let Some(block) = blocks.get_mut(r / BLOCK) {
+                    let (sum, ok) = swap_part(*block, old, new);
+                    blocks_ok &= ok;
+                    *block = sum;
+                }
             }
-            if point_update {
-                self.fenwick.add(r, new as i128 - old as i128);
-            }
         }
-        if rebuild {
-            self.fenwick.rebuild(&self.row_mass);
-        }
-        self.dirty.clear();
+        assert!(
+            rows_ok,
+            "row mass underflow: col_in misses the active diagonal"
+        );
+        assert!(mass_ok, "active mass out of sync with row masses");
+        assert!(blocks_ok, "block mass out of sync with row masses");
+        self.mass = mass;
     }
 
     fn mass(&self) -> u128 {
@@ -960,7 +889,7 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
     }
 
     fn active_pairs(&self) -> usize {
-        self.adj.pairs()
+        self.adj.pairs
     }
 
     fn adjacency_bytes(&self) -> usize {
@@ -1107,7 +1036,8 @@ impl Activity for DenseActivity {
         // Full refresh, once per change-point — the dense O(slots) rescan.
         let mut mass = 0u128;
         for (r, &c) in counts.iter().enumerate().take(self.slots) {
-            let m = row_mass_of(c, self.col_in[r], !self.null[r * self.stride + r]);
+            let (m, ok) = row_mass_of(c, self.col_in[r], !self.null[r * self.stride + r]);
+            debug_assert!(ok, "row mass underflow: col_in misses the active diagonal");
             self.row_mass[r] = m;
             mass += m;
         }
@@ -1154,7 +1084,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    /// Drives all indexes through an identical random schedule and checks
+    /// Drives both indexes through an identical random schedule and checks
     /// them against a brute-force reference at every step.
     #[test]
     fn all_indexes_agree_with_bruteforce() {
@@ -1162,16 +1092,14 @@ mod tests {
         // arbitrary but deterministic and ~25% dense.
         let active = |i: usize, j: usize| (i * 7 + j * 3).is_multiple_of(4);
         let mut rng = StdRng::seed_from_u64(11);
-        let mut sparse = SparseActivity::default();
-        let mut compact = CompactActivity::default();
+        let mut adj = AdjActivity::default();
         let mut dense = DenseActivity::default();
         let mut counts: Vec<u64> = Vec::new();
 
         for round in 0..200 {
             if counts.len() < 12 && round % 8 == 0 {
                 counts.push(0);
-                sparse.add_slot(&counts, active);
-                compact.add_slot(&counts, active);
+                adj.add_slot(&counts, active);
                 dense.add_slot(&counts, active);
             }
             let slot = rng.random_range(0..counts.len());
@@ -1181,85 +1109,176 @@ mod tests {
                 [-1i64, 1, 2][rng.random_range(0..3usize)]
             };
             counts[slot] = counts[slot].checked_add_signed(delta).unwrap();
-            sparse.count_changed(slot, delta);
-            compact.count_changed(slot, delta);
+            adj.count_changed(slot, delta);
             dense.count_changed(slot, delta);
-            sparse.settle(&counts);
-            compact.settle(&counts);
+            adj.settle(&counts);
             dense.settle(&counts);
 
-            let mut expected = 0u128;
-            for i in 0..counts.len() {
-                let mut row = 0u128;
-                for j in 0..counts.len() {
-                    if active(i, j) {
-                        row += u128::from(counts[i])
-                            * u128::from(counts[j].saturating_sub(u64::from(i == j)));
-                    }
-                }
-                assert_eq!(sparse.row_mass()[i], row, "sparse row {i} round {round}");
-                assert_eq!(compact.row_mass()[i], row, "compact row {i} round {round}");
-                assert_eq!(dense.row_mass()[i], row, "dense row {i} round {round}");
-                expected += row;
-            }
-            assert_eq!(sparse.mass(), expected, "sparse mass round {round}");
-            assert_eq!(compact.mass(), expected, "compact mass round {round}");
-            assert_eq!(dense.mass(), expected, "dense mass round {round}");
+            let expected = brute_row_mass(&counts, active);
+            assert_eq!(adj.row_mass(), &expected[..], "adj rows round {round}");
+            assert_eq!(dense.row_mass(), &expected[..], "dense rows round {round}");
+            let total: u128 = expected.iter().sum();
+            assert_eq!(adj.mass(), total, "adj mass round {round}");
+            assert_eq!(dense.mass(), total, "dense mass round {round}");
 
             // Sampling must agree between the indexes for every r.
-            if expected > 0 {
+            if total > 0 {
                 for _ in 0..8 {
-                    let r = rng.random_range(0..expected);
-                    let drawn = sparse.sample_change(r, &counts);
-                    assert_eq!(drawn, compact.sample_change(r, &counts), "r = {r}");
-                    assert_eq!(drawn, dense.sample_change(r, &counts), "r = {r}");
+                    let r = rng.random_range(0..total);
+                    assert_eq!(
+                        adj.sample_change(r, &counts),
+                        dense.sample_change(r, &counts),
+                        "r = {r}"
+                    );
                 }
             }
             for i in 0..counts.len() {
                 for j in 0..counts.len() {
-                    assert_eq!(sparse.is_active(i, j), active(i, j));
-                    assert_eq!(compact.is_active(i, j), active(i, j));
+                    assert_eq!(adj.is_active(i, j), active(i, j));
                     assert_eq!(dense.is_active(i, j), active(i, j));
                 }
             }
         }
-        assert_eq!(sparse.active_pairs(), compact.active_pairs());
-        assert_eq!(sparse.active_pairs(), dense.active_pairs());
+        assert_eq!(adj.active_pairs(), dense.active_pairs());
     }
 
-    /// Crossing [`FENWICK_MIN_SLOTS`] mid-run must hand over from the
-    /// linear sampler to the tree without changing a single draw.
-    #[test]
-    fn fenwick_threshold_crossing_preserves_sampling() {
-        let active = |i: usize, j: usize| (i + 2 * j).is_multiple_of(3);
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut sparse = SparseActivity::default();
-        let mut dense = DenseActivity::default();
-        let mut counts: Vec<u64> = Vec::new();
-        while counts.len() < FENWICK_MIN_SLOTS + 20 {
-            counts.push(0);
-            sparse.add_slot(&counts, active);
-            dense.add_slot(&counts, active);
-            let slot = rng.random_range(0..counts.len());
-            counts[slot] += 2;
-            sparse.count_changed(slot, 2);
-            dense.count_changed(slot, 2);
-            sparse.settle(&counts);
-            dense.settle(&counts);
-            assert_eq!(sparse.mass(), dense.mass(), "at {} slots", counts.len());
-            if sparse.mass() > 0 {
-                for _ in 0..4 {
-                    let r = rng.random_range(0..sparse.mass());
-                    assert_eq!(
-                        sparse.sample_change(r, &counts),
-                        dense.sample_change(r, &counts),
-                        "r = {r} at {} slots",
-                        counts.len()
-                    );
+    /// `row_mass[i] = Σ_j active(i, j) · c_i · (c_j − [i = j])`, summed
+    /// pair by pair.
+    fn brute_row_mass(counts: &[u64], active: impl Fn(usize, usize) -> bool) -> Vec<u128> {
+        (0..counts.len())
+            .map(|i| {
+                (0..counts.len())
+                    .filter(|&j| active(i, j))
+                    .map(|j| {
+                        u128::from(counts[i])
+                            * u128::from(counts[j].saturating_sub(u64::from(i == j)))
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// Maps `r` to its pair by walking every row, then every pair of that
+    /// row — the definition [`PairSampling::sample_change`] must match.
+    fn brute_sample(
+        counts: &[u64],
+        active: impl Fn(usize, usize) -> bool,
+        mut r: u128,
+    ) -> (usize, usize) {
+        for i in 0..counts.len() {
+            for j in (0..counts.len()).filter(|&j| active(i, j)) {
+                let w =
+                    u128::from(counts[i]) * u128::from(counts[j].saturating_sub(u64::from(i == j)));
+                if r < w {
+                    return (i, j);
                 }
+                r -= w;
             }
         }
-        assert!(counts.len() > FENWICK_MIN_SLOTS, "threshold was crossed");
+        panic!("r past the total mass");
+    }
+
+    /// Growing one index past 64, 128 and 192 slots must open each block
+    /// sum exactly when its first row appears, keep every block equal to
+    /// its rows' sum, and leave every draw equal to the unblocked scan —
+    /// including at block edges and across zero-mass rows.
+    #[test]
+    fn block_sums_preserve_sampling_across_block_boundaries() {
+        let active = |i: usize, j: usize| (i + 2 * j).is_multiple_of(3);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut adj = AdjActivity::default();
+        let mut dense = DenseActivity::default();
+        let mut counts: Vec<u64> = Vec::new();
+        while counts.len() < 3 * BLOCK + 10 {
+            counts.push(0);
+            adj.add_slot(&counts, active);
+            dense.add_slot(&counts, active);
+            // Grow some rows and empty others, so whole stretches of rows
+            // (and, early on, whole blocks) carry zero mass.
+            for _ in 0..3 {
+                let slot = rng.random_range(0..counts.len());
+                let delta = if counts[slot] > 0 && rng.random_range(0..3u32) == 0 {
+                    -(counts[slot] as i64)
+                } else {
+                    rng.random_range(1..4i64)
+                };
+                counts[slot] = counts[slot].checked_add_signed(delta).unwrap();
+                adj.count_changed(slot, delta);
+                dense.count_changed(slot, delta);
+            }
+            adj.settle(&counts);
+            dense.settle(&counts);
+
+            let slots = counts.len();
+            let rows = brute_row_mass(&counts, active);
+            let total: u128 = rows.iter().sum();
+            assert_eq!(adj.row_mass(), &rows[..], "rows at {slots} slots");
+            assert_eq!(adj.mass(), total, "mass at {slots} slots");
+            assert_eq!(dense.mass(), total, "dense mass at {slots} slots");
+            let blocks: Vec<u128> = if slots < BLOCK {
+                Vec::new()
+            } else {
+                rows.chunks(BLOCK).map(|c| c.iter().sum()).collect()
+            };
+            assert_eq!(adj.blocks, blocks, "block sums at {slots} slots");
+            if total == 0 {
+                continue;
+            }
+            // Sweep r: both edges of every block, both edges of the total,
+            // and a few interior points.
+            let mut rs = vec![0, total - 1];
+            let mut edge = 0u128;
+            for &b in &blocks {
+                edge += b;
+                if edge < total {
+                    rs.extend([edge.saturating_sub(1), edge]);
+                }
+            }
+            rs.extend((0..6).map(|_| rng.random_range(0..total)));
+            for r in rs {
+                let expected = brute_sample(&counts, active, r);
+                assert_eq!(
+                    adj.sample_change(r, &counts),
+                    expected,
+                    "r = {r} at {slots} slots"
+                );
+                assert_eq!(
+                    dense.sample_change(r, &counts),
+                    expected,
+                    "r = {r} at {slots} slots"
+                );
+            }
+        }
+        assert_eq!(adj.blocks.len(), 4, "three block boundaries were crossed");
+    }
+
+    #[test]
+    #[should_panic(expected = "walked past")]
+    fn sampling_past_the_mass_panics() {
+        let mut adj = AdjActivity::default();
+        let counts = vec![0u64; 1];
+        adj.add_slot(&counts, |_, _| true);
+        let counts = vec![2u64];
+        adj.count_changed(0, 2);
+        adj.settle(&counts);
+        let _ = adj.sample_change(adj.mass(), &counts);
+    }
+
+    /// A total out of step with its rows must stop the run at the next
+    /// settle, in release builds too, instead of wrapping below zero.
+    #[test]
+    #[should_panic(expected = "active mass out of sync")]
+    fn desynced_mass_panics_instead_of_wrapping() {
+        let mut adj = AdjActivity::default();
+        let mut counts = vec![0u64];
+        adj.add_slot(&counts, |_, _| true);
+        counts[0] = 3;
+        adj.count_changed(0, 3);
+        adj.settle(&counts);
+        adj.mass -= 1;
+        counts[0] = 0;
+        adj.count_changed(0, -3);
+        adj.settle(&counts);
     }
 
     #[test]
@@ -1268,22 +1287,22 @@ mod tests {
         // (~2^64) overflows u64 — the arithmetic must stay exact in u128.
         let active = |i: usize, j: usize| i != j;
         let big = u64::from(u32::MAX) + 7;
-        let mut sparse = SparseActivity::default();
+        let mut adj = AdjActivity::default();
         let mut counts = Vec::new();
         for _ in 0..2 {
             counts.push(0);
-            sparse.add_slot(&counts, active);
+            adj.add_slot(&counts, active);
         }
         for (slot, c) in counts.iter_mut().enumerate() {
             *c = big;
-            sparse.count_changed(slot, big as i64);
+            adj.count_changed(slot, big as i64);
         }
-        sparse.settle(&counts);
+        adj.settle(&counts);
         let expected = 2 * u128::from(big) * u128::from(big);
         assert!(expected > u128::from(u64::MAX));
-        assert_eq!(sparse.mass(), expected);
-        assert_eq!(sparse.sample_change(0, &counts), (0, 1));
-        assert_eq!(sparse.sample_change(expected - 1, &counts), (1, 0));
+        assert_eq!(adj.mass(), expected);
+        assert_eq!(adj.sample_change(0, &counts), (0, 1));
+        assert_eq!(adj.sample_change(expected - 1, &counts), (1, 0));
     }
 
     /// The symmetric discovery path must produce the exact structure of the
@@ -1294,9 +1313,9 @@ mod tests {
         let rule = |i: usize, j: usize| (i.max(j) * 5 + i.min(j)).is_multiple_of(3);
         let slots = 40usize;
         let mut counts = Vec::new();
-        let mut plain = SparseActivity::default();
+        let mut plain = AdjActivity::default();
         let mut plain_queries = 0u64;
-        let mut sym = SparseActivity::default();
+        let mut sym = AdjActivity::default();
         let mut sym_queries = 0u64;
         for s in 0..slots {
             counts.push(0);
@@ -1321,44 +1340,53 @@ mod tests {
         assert_eq!(sym_queries, (0..slots as u64).map(|s| s + 1).sum());
     }
 
-    /// A symmetric-declared compact store serves in-queries from the shared
-    /// out-rows and stays bit-compatible with the unshared stores.
+    /// A symmetric-declared index serves in-queries from the shared
+    /// out-rows and stays bit-compatible with the unshared and dense ones.
     #[test]
     fn symmetric_compact_store_matches_unshared() {
         let rule = |i: usize, j: usize| (i.max(j) + 2 * i.min(j)).is_multiple_of(3);
         let mut rng = StdRng::seed_from_u64(31);
-        let mut shared = CompactActivity::default();
+        let mut shared = AdjActivity::default();
         shared.declare_symmetric();
-        let mut sparse = SparseActivity::default();
+        let mut unshared = AdjActivity::default();
+        let mut dense = DenseActivity::default();
         let mut counts: Vec<u64> = Vec::new();
-        for _ in 0..30 {
+        // Past 64 slots, so rows leave their inline word for the heap.
+        for _ in 0..100 {
             counts.push(0);
             shared.add_slot_symmetric(&counts, rule);
-            sparse.add_slot(&counts, rule);
+            unshared.add_slot(&counts, rule);
+            dense.add_slot(&counts, rule);
             let slot = rng.random_range(0..counts.len());
             let delta = 1 + (slot as i64 % 3);
             counts[slot] += delta as u64;
-            shared.count_changed(slot, delta);
-            sparse.count_changed(slot, delta);
-            shared.settle(&counts);
-            sparse.settle(&counts);
-            assert_eq!(shared.mass(), sparse.mass());
+            for idx in [&mut shared, &mut unshared] {
+                idx.count_changed(slot, delta);
+                idx.settle(&counts);
+            }
+            dense.count_changed(slot, delta);
+            dense.settle(&counts);
+            assert_eq!(shared.mass(), dense.mass());
+            assert_eq!(unshared.mass(), dense.mass());
             if shared.mass() > 0 {
                 for _ in 0..6 {
                     let r = rng.random_range(0..shared.mass());
-                    assert_eq!(
-                        shared.sample_change(r, &counts),
-                        sparse.sample_change(r, &counts)
-                    );
+                    let expected = dense.sample_change(r, &counts);
+                    assert_eq!(shared.sample_change(r, &counts), expected);
+                    assert_eq!(unshared.sample_change(r, &counts), expected);
                 }
             }
         }
-        assert_eq!(shared.active_pairs(), sparse.active_pairs());
+        assert_eq!(shared.active_pairs(), dense.active_pairs());
         assert!(
-            shared.adjacency_bytes() * 2 < sparse.adjacency_bytes(),
-            "shared rows must be under half the flat footprint: {} vs {}",
+            shared.adjacency_bytes() < unshared.adjacency_bytes(),
+            "shared rows must undercut one row set per orientation"
+        );
+        assert!(
+            shared.adjacency_bytes() < 4 * shared.active_pairs(),
+            "shared rows must stay under 4 bytes per active pair: {} bytes for {} pairs",
             shared.adjacency_bytes(),
-            sparse.adjacency_bytes()
+            shared.active_pairs()
         );
     }
 
@@ -1371,15 +1399,12 @@ mod tests {
         let active = |i: usize, j: usize| (3 * i + 5 * j).is_multiple_of(4);
         let slots = 80usize;
         let mut counts = vec![0u64; 0];
-        let mut inc_sparse = SparseActivity::default();
-        let mut inc_compact = CompactActivity::default();
+        let mut incremental = AdjActivity::default();
         for _ in 0..slots {
             counts.push(0);
-            inc_sparse.add_slot(&counts, active);
-            inc_compact.add_slot(&counts, active);
+            incremental.add_slot(&counts, active);
         }
-        let mut loaded_sparse = SparseActivity::default();
-        let mut loaded_compact = CompactActivity::default();
+        let mut loaded = AdjActivity::default();
         let mut loaded_dense = DenseActivity::default();
         counts.clear();
         for id in 0..slots {
@@ -1393,49 +1418,28 @@ mod tests {
                 .map(|i| i as u32)
                 .collect();
             let diag = active(id, id);
-            loaded_sparse.add_slot_from_lists(&counts, &out, &ins, diag);
-            loaded_compact.add_slot_from_lists(&counts, &out, &ins, diag);
+            loaded.add_slot_from_lists(&counts, &out, &ins, diag);
             loaded_dense.add_slot_from_lists(&counts, &out, &ins, diag);
         }
 
         let mut rng = StdRng::seed_from_u64(41);
-        macro_rules! each {
-            ($name:ident => $body:expr) => {{
-                {
-                    let $name = &mut inc_sparse;
-                    $body;
-                }
-                {
-                    let $name = &mut inc_compact;
-                    $body;
-                }
-                {
-                    let $name = &mut loaded_sparse;
-                    $body;
-                }
-                {
-                    let $name = &mut loaded_compact;
-                    $body;
-                }
-                {
-                    let $name = &mut loaded_dense;
-                    $body;
-                }
-            }};
-        }
         for _ in 0..100 {
             let slot = rng.random_range(0..slots);
             counts[slot] += 2;
-            each!(idx => {
+            for idx in [&mut incremental, &mut loaded] {
                 idx.count_changed(slot, 2);
                 idx.settle(&counts);
-            });
-            let mass = inc_sparse.mass();
-            each!(idx => assert_eq!(idx.mass(), mass));
+            }
+            loaded_dense.count_changed(slot, 2);
+            loaded_dense.settle(&counts);
+            let mass = incremental.mass();
+            assert_eq!(loaded.mass(), mass);
+            assert_eq!(loaded_dense.mass(), mass);
             if mass > 0 {
                 let r = rng.random_range(0..mass);
-                let expected = inc_sparse.sample_change(r, &counts);
-                each!(idx => assert_eq!(idx.sample_change(r, &counts), expected));
+                let expected = incremental.sample_change(r, &counts);
+                assert_eq!(loaded.sample_change(r, &counts), expected);
+                assert_eq!(loaded_dense.sample_change(r, &counts), expected);
             }
         }
     }
@@ -1447,47 +1451,50 @@ mod tests {
         let slots = 400usize;
         // Row 0 is fully active (densifies); the rest nearly empty.
         let active = |i: usize, j: usize| i == 0 || (i + j).is_multiple_of(97);
-        let mut compact = CompactActivity::default();
-        let mut sparse = SparseActivity::default();
+        let mut compact = AdjActivity::default();
+        let mut dense = DenseActivity::default();
         let mut counts: Vec<u64> = Vec::new();
         for _ in 0..slots {
             counts.push(0);
             compact.add_slot(&counts, active);
-            sparse.add_slot(&counts, active);
+            dense.add_slot(&counts, active);
         }
         for (s, c) in counts.iter_mut().enumerate() {
             *c = 1 + (s as u64 % 5);
             compact.count_changed(s, *c as i64);
-            sparse.count_changed(s, *c as i64);
+            dense.count_changed(s, *c as i64);
         }
         compact.settle(&counts);
-        sparse.settle(&counts);
-        assert_eq!(compact.mass(), sparse.mass());
+        dense.settle(&counts);
+        assert_eq!(compact.mass(), dense.mass());
         let mut rng = StdRng::seed_from_u64(51);
         for _ in 0..200 {
             let r = rng.random_range(0..compact.mass());
             assert_eq!(
                 compact.sample_change(r, &counts),
-                sparse.sample_change(r, &counts),
+                dense.sample_change(r, &counts),
                 "r = {r}"
             );
         }
-        // The full row plus the sparse tail must still be well under the
-        // flat 8-bytes-per-pair layout, even without shared symmetric rows
-        // (the ≥ 4× cut is asserted on the real symmetric workload in the
-        // `discovery` bench).
         assert!(
-            compact.adjacency_bytes() * 2 < sparse.adjacency_bytes(),
-            "compact {} bytes vs flat {} bytes",
+            matches!(compact.adj.out[0], CompactRow::Dense { .. }),
+            "the full row must be a bitset"
+        );
+        // The full row plus the sparse tail, without shared symmetric rows,
+        // must stay under 4 bytes per active pair (the real symmetric
+        // workload's bound is asserted in the `discovery` bench).
+        assert!(
+            compact.adjacency_bytes() < 4 * compact.active_pairs(),
+            "compact {} bytes for {} active pairs",
             compact.adjacency_bytes(),
-            sparse.adjacency_bytes()
+            compact.active_pairs()
         );
         // walk_out must agree across representations.
         for i in [0usize, 1, 97] {
             let mut a = Vec::new();
             Activity::walk_out(&compact, i, &mut |j| a.push(j));
             let mut b = Vec::new();
-            Activity::walk_out(&sparse, i, &mut |j| b.push(j));
+            Activity::walk_out(&dense, i, &mut |j| b.push(j));
             assert_eq!(a, b, "row {i}");
         }
     }

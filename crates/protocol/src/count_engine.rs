@@ -16,9 +16,9 @@
 //!
 //! Which slot pairs are *active* (state-changing), how much sampling weight
 //! they carry and how a conditional change-pair is drawn is delegated to an
-//! [`Activity`] index — [`SparseActivity`] by default (per-slot adjacency
-//! lists, dirty-row settlement, Fenwick-tree sampling: `O(deg + log slots)`
-//! per change-point), with [`DenseActivity`] (the previous dense pair-matrix
+//! [`Activity`] index — [`SparseActivity`] by default (compressed per-slot
+//! adjacency rows, dirty-row settlement, 64-row block sums for sampling:
+//! `O(deg + slots / 64)` per change-point), with [`DenseActivity`] (the previous dense pair-matrix
 //! bookkeeping, `O(slots)` scans) kept as the reference baseline; see
 //! [`activity`](crate::activity) for the cost model. All pair-weight
 //! arithmetic is `u128`, so populations up to `2^63 − 1` agents are
@@ -162,9 +162,10 @@ impl<S> WarmState<S> {
 pub type DenseCountEngine<'p, P, CS = UniformCountScheduler, R = StdRng> =
     CountEngine<'p, P, CS, DenseActivity, R>;
 
-/// The count engine over the [`CompactActivity`] index — compressed
-/// adjacency rows for slot tables too large for the flat 8-bytes-per-pair
-/// layout (full-discovery Circles toward `k = 40`).
+/// The count engine over the [`CompactActivity`] index — the default
+/// index under the name warm callers use: compressed adjacency rows that
+/// keep slot tables past `10^4` (full-discovery Circles toward `k = 40`)
+/// well under a byte per active pair.
 pub type CompactCountEngine<'p, P, CS = UniformCountScheduler, R = StdRng> =
     CountEngine<'p, P, CS, CompactActivity, R>;
 

@@ -23,7 +23,7 @@
 //! - [`CountEngine`]: the batched count-based engine, driven by any
 //!   [`CountScheduler`] — it samples interacting *state pairs* instead of
 //!   agent indices and jumps between change-points in one draw. Its
-//!   [`Activity`] index (sparse adjacency + Fenwick sampling by default,
+//!   [`Activity`] index (sparse adjacency + block-sum sampling by default,
 //!   dense pair matrix as the benchmarked baseline) and `u128` pair
 //!   weights scale it to populations of billions of agents.
 //! - [`InteractionTrace`]: record/replay of indexed interaction schedules;
@@ -80,7 +80,6 @@ mod config;
 mod count_engine;
 mod count_trace;
 mod error;
-pub mod fenwick;
 mod hashing;
 mod population;
 mod protocol;
@@ -94,14 +93,13 @@ pub mod transition_store;
 pub mod transition_table;
 
 pub use activity::{
-    Activity, AdjActivity, AdjRows, AdjStore, CompactActivity, CompactAdj, DenseActivity, RowRepr,
-    SparseActivity, VecAdj,
+    Activity, AdjActivity, AdjRows, CompactActivity, CompactAdj, DenseActivity, RowRepr,
+    SparseActivity,
 };
 pub use config::CountConfig;
 pub use count_engine::{CompactCountEngine, CountEngine, DenseCountEngine};
 pub use count_trace::CountTrace;
 pub use error::FrameworkError;
-pub use fenwick::Fenwick;
 pub use population::Population;
 pub use protocol::{EnumerableProtocol, Protocol};
 pub use quotient::{quotient_table, CanonicalPair, QuotientError, StateQuotient};

@@ -19,8 +19,8 @@
 //! silent-heavy runs advance in one draw per change-point instead of one draw
 //! per interaction. The conditional change-pair draw itself is answered by
 //! the engine's [`Activity`](crate::activity::Activity) index through
-//! [`CountView::sample_change`] — a Fenwick-tree prefix search plus an
-//! adjacency walk (`O(log slots + deg)`) on the default sparse index. All
+//! [`CountView::sample_change`] — a block-sum prefix scan plus an adjacency
+//! walk (`O(slots / 64 + deg)`) on the default sparse index. All
 //! pair weights are `u128`, so populations beyond `u32::MAX` sample without
 //! overflow.
 
@@ -78,7 +78,7 @@ impl<S> CountView<'_, S> {
     /// Maps the `r`-th unit of active weight (`r < mass`) to its ordered
     /// slot pair: pairs are ordered by initiator slot then responder slot,
     /// each spanning its [`pair_weight`](Self::pair_weight). On the sparse
-    /// index this is a Fenwick prefix search plus an adjacency walk; on the
+    /// index this is a block-sum prefix scan plus an adjacency walk; on the
     /// dense baseline a linear row-and-column scan. Both orderings agree,
     /// so the same `r` yields the same pair on either index.
     ///

@@ -94,9 +94,9 @@ proptest! {
 }
 
 /// Large-k Circles replay: the same indexed schedule, driven through the
-/// sparse (Fenwick + adjacency) and dense (pair matrix) activity indexes,
-/// produces bit-identical reports and configurations — with slot tables
-/// far past the Fenwick threshold (slots ≫ 100), where the sparse
+/// sparse (block sums + adjacency) and dense (pair matrix) activity
+/// indexes, produces bit-identical reports and configurations — with slot
+/// tables far past the first 64-row block (slots ≫ 100), where the sparse
 /// bookkeeping actually diverges from the dense code path.
 #[test]
 fn large_k_circles_replay_is_bit_identical_on_both_indexes() {
@@ -144,7 +144,7 @@ fn large_k_circles_replay_is_bit_identical_on_both_indexes() {
 
 /// Uniform-random batched runs on the two activity indexes are bit-identical
 /// for the same seed: both draw the same geometric skips and the same
-/// `r ∈ [0, mass)`, and the Fenwick prefix search must resolve `r` to
+/// `r ∈ [0, mass)`, and the block-sum prefix scan must resolve `r` to
 /// exactly the pair the dense linear scan finds.
 #[test]
 fn sparse_and_dense_uniform_runs_are_bit_identical_at_large_k() {
