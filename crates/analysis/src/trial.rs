@@ -5,9 +5,10 @@
 //!
 //! Every run here goes through one of two cores. Indexed runs (the uniform
 //! scheduler of [`Backend::Indexed`], or the named schedulers of
-//! [`run_trial`]) build a [`Simulation`]; count runs build a cold
-//! [`SparseActivity`] engine, or — in [`TrialRunner::run_with_table`]'s warm
-//! sweeps — a [`CompactCountEngine`] over a shared table snapshot. Both
+//! [`run_trial`]) build a [`Simulation`]; count runs build a
+//! [`SparseActivity`] [`CountEngine`], cold or — in
+//! [`TrialRunner::run_with_table`]'s warm sweeps — over a shared table
+//! snapshot. Both
 //! cores grade a run the same way: budget exhaustion is a recorded finding
 //! (`stabilized == false`), not an error.
 
@@ -19,9 +20,9 @@ use std::time::{Duration, Instant};
 
 use circles_core::Color;
 use pp_protocol::{
-    Activity, CompactCountEngine, CountConfig, CountEngine, FrameworkError, Population, Protocol,
-    RunReport, Scheduler, Simulation, SparseActivity, StepReport, TableSnapshot, TransitionTable,
-    UniformCountScheduler, UniformPairScheduler,
+    CountConfig, CountEngine, FrameworkError, Population, Protocol, RunReport, Scheduler,
+    Simulation, SparseActivity, StepReport, TableSnapshot, TransitionTable, UniformCountScheduler,
+    UniformPairScheduler,
 };
 use rand::RngCore;
 
@@ -381,9 +382,9 @@ impl TrialRunner {
     /// discovery exactly once; passing an already-warm table (e.g. from a
     /// previous sweep at the same `k`) skips even that.
     ///
-    /// Warm trials run on the [`CompactCountEngine`], whose compressed rows
-    /// keep the per-trial adjacency footprint more than an order of
-    /// magnitude under the flat layout. The table is only a lookup oracle
+    /// Warm trials run on the same compressed-row engine as cold ones,
+    /// materializing table-known states from the snapshot instead of
+    /// rediscovering them. The table is only a lookup oracle
     /// and slot numbering stays canonical, so every result is
     /// **bit-identical** to the cold [`run`](Self::run) of the same seed,
     /// whatever the table contains.
@@ -831,12 +832,12 @@ type Warm<'a, P> = (
     &'a TransitionTable<P>,
 );
 
-/// The one count-backend trial. With no table it runs the cold
-/// [`SparseActivity`] engine; with `(snapshot, table)` it warm-starts a
-/// [`CompactCountEngine`] from the snapshot, used as a lookup oracle
-/// (canonical slot numbering keeps the result bit-identical to the cold
-/// trial), and exports the trial's discoveries to `table` afterwards — even
-/// on budget exhaustion: partial structure is still valid structure.
+/// The one count-backend trial. With no table it runs the cold engine;
+/// with `(snapshot, table)` it warm-starts the same engine type from the
+/// snapshot, used as a lookup oracle (canonical slot numbering keeps the
+/// result bit-identical to the cold trial), and exports the trial's
+/// discoveries to `table` afterwards — even on budget exhaustion: partial
+/// structure is still valid structure.
 fn count_trial<P, R>(
     protocol: &P,
     inputs: &[P::Input],
@@ -849,43 +850,26 @@ where
     P: Protocol<Output = Color>,
     R: RngCore,
 {
-    fn graded<P, A, R>(
-        engine: &mut CountEngine<'_, P, UniformCountScheduler, A, R>,
-        expected: Color,
-        max_steps: u64,
-    ) -> Result<TrialResult, FrameworkError>
-    where
-        P: Protocol<Output = Color>,
-        A: Activity,
-        R: RngCore,
-    {
-        let stabilized = settle(engine.run_until_silent(max_steps))?;
-        Ok(TrialResult::grade(
-            &engine.report(),
-            stabilized,
-            expected,
-            max_steps,
-        ))
-    }
-    match warm {
-        None => graded(
-            &mut cold_count_engine(protocol, inputs, rng),
-            expected,
-            max_steps,
+    let mut engine = match warm {
+        None => cold_count_engine(protocol, inputs, rng),
+        Some((snapshot, _)) => CountEngine::with_snapshot_rng(
+            protocol,
+            count_config(protocol, inputs),
+            UniformCountScheduler::new(),
+            rng,
+            Arc::clone(snapshot),
         ),
-        Some((snapshot, table)) => {
-            let mut engine = CompactCountEngine::with_snapshot_rng(
-                protocol,
-                count_config(protocol, inputs),
-                UniformCountScheduler::new(),
-                rng,
-                Arc::clone(snapshot),
-            );
-            let result = graded(&mut engine, expected, max_steps);
-            engine.export_to(table);
-            result
-        }
+    };
+    let stabilized = settle(engine.run_until_silent(max_steps));
+    if let Some((_, table)) = warm {
+        engine.export_to(table);
     }
+    Ok(TrialResult::grade(
+        &engine.report(),
+        stabilized?,
+        expected,
+        max_steps,
+    ))
 }
 
 /// The cold count engine every unwarmed count run starts from.

@@ -38,6 +38,8 @@ use pp_protocol::{
     CountConfig, CountEngine, DenseCountEngine, Population, Simulation, UniformCountScheduler,
     UniformPairScheduler,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const K: u16 = 3;
 
@@ -200,11 +202,11 @@ fn bench_slot_scaling(c: &mut Criterion) {
         (start.elapsed().as_nanos() as f64, report)
     };
     let run_dense = || {
-        let mut engine = DenseCountEngine::with_parts(
+        let mut engine = DenseCountEngine::with_rng(
             &protocol,
             config.clone(),
             UniformCountScheduler::new(),
-            7,
+            StdRng::seed_from_u64(7),
         );
         engine.prime_states(states.iter().cloned());
         let start = Instant::now();
@@ -259,11 +261,11 @@ fn bench_slot_scaling(c: &mut Criterion) {
     let mut dense_times: Vec<f64> = (0..3)
         .map(|_| {
             let p = protocol_small();
-            let mut engine = DenseCountEngine::with_parts(
+            let mut engine = DenseCountEngine::with_rng(
                 &p,
                 small_config.clone(),
                 UniformCountScheduler::new(),
-                7,
+                StdRng::seed_from_u64(7),
             );
             let start = Instant::now();
             engine.run_until_silent(u64::MAX / 2).unwrap();

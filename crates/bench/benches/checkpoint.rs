@@ -33,7 +33,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use circles_core::{CirclesProtocol, CirclesState, Color};
 use pp_analysis::table_cache::TableCache;
 use pp_protocol::{
-    run_checkpoint, Activity, CompactCountEngine, CountConfig, CountEngine, RunCheckpoint,
+    run_checkpoint, Activity, CompactActivity, CountConfig, CountEngine, RunCheckpoint,
     SparseActivity, UniformCountScheduler,
 };
 use rand::rngs::Philox4x32;
@@ -118,7 +118,7 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
     let (ratio, offers) = match &table {
         Some(table) => measure_overhead(
             || {
-                CompactCountEngine::<_, _, Philox4x32>::with_table_rng(
+                CountEngine::<_, _, CompactActivity, Philox4x32>::with_table_rng(
                     &protocol,
                     config(n, k),
                     UniformCountScheduler::new(),

@@ -40,6 +40,8 @@ use pp_protocol::{
     CompactActivity, CountConfig, CountEngine, DenseActivity, EnumerableProtocol, Protocol,
     UniformCountScheduler,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Forwards to an inner protocol while counting transition calls;
 /// optionally masks `is_symmetric` (forcing all-ordered-pairs discovery)
@@ -168,11 +170,11 @@ fn bench_discovery(c: &mut Criterion) {
         config: &CountConfig<CirclesState>,
         table: &pp_protocol::TransitionTable<CirclesProtocol>,
     ) -> (pp_protocol::RunReport<circles_core::Color>, usize, usize) {
-        let mut e = CountEngine::<_, _, A>::with_table_parts(
+        let mut e = CountEngine::<_, _, A>::with_table_rng(
             protocol,
             config.clone(),
             UniformCountScheduler::new(),
-            7,
+            StdRng::seed_from_u64(7),
             table,
         );
         let r = e.run_until_silent(u64::MAX / 2).unwrap();
@@ -225,11 +227,11 @@ fn bench_discovery(c: &mut Criterion) {
         u64,
         pp_protocol::TransitionTable<CallCounter<'a, CirclesProtocol>>,
     ) {
-        let mut engine = CountEngine::<_, _, CompactActivity>::with_parts(
+        let mut engine = CountEngine::<_, _, CompactActivity>::with_rng(
             counter,
             CountConfig::new(),
             UniformCountScheduler::new(),
-            7,
+            StdRng::seed_from_u64(7),
         );
         let start = Instant::now();
         engine.prime_states(states.iter().copied());
@@ -305,11 +307,11 @@ fn bench_discovery(c: &mut Criterion) {
         config: &CountConfig<CirclesState>,
         table: &pp_protocol::TransitionTable<CallCounter<'a, CirclesProtocol>>,
     ) -> pp_protocol::RunReport<circles_core::Color> {
-        let mut e = CountEngine::<_, _, CompactActivity>::with_table_parts(
+        let mut e = CountEngine::<_, _, CompactActivity>::with_table_rng(
             counter,
             config.clone(),
             UniformCountScheduler::new(),
-            7,
+            StdRng::seed_from_u64(7),
             table,
         );
         e.run_until_silent(u64::MAX / 2).unwrap()

@@ -39,7 +39,7 @@ use pp_extensions::hazards::{
     run_circles_hazards, run_with_hazards, Hazard, HazardKind, HazardPlan, HazardReport,
 };
 use pp_protocol::{
-    CompactCountEngine, CountConfig, CountEngine, SparseActivity, UniformCountScheduler,
+    CompactActivity, CountConfig, CountEngine, SparseActivity, UniformCountScheduler,
 };
 use rand::rngs::Philox4x32;
 
@@ -151,7 +151,7 @@ fn bench_hazard_large_n(c: &mut Criterion) {
         let mut hazard_rng = Philox4x32::stream(0, seed | 1 << 63);
         match &table {
             Some(table) => {
-                let mut engine = CompactCountEngine::<_, _, Philox4x32>::with_table_rng(
+                let mut engine = CountEngine::<_, _, CompactActivity, Philox4x32>::with_table_rng(
                     &protocol,
                     config_from(&counts),
                     UniformCountScheduler::new(),

@@ -35,8 +35,10 @@ use circles_core::{CirclesProtocol, CirclesState};
 use pp_analysis::workloads::margin_workload;
 use pp_protocol::transition_store;
 use pp_protocol::{
-    CompactCountEngine, CountConfig, CountEngine, Protocol, TransitionTable, UniformCountScheduler,
+    CompactActivity, CountConfig, CountEngine, Protocol, TransitionTable, UniformCountScheduler,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const K: u16 = 30;
 const N: usize = 3_000;
@@ -135,11 +137,11 @@ fn bench_table_store(c: &mut Criterion) {
         inputs.iter().map(|i| counter.input(i)).collect();
     counter.calls.set(0);
     let start = Instant::now();
-    let mut warm = CompactCountEngine::with_table_parts(
+    let mut warm = CountEngine::<_, _, CompactActivity>::with_table_rng(
         &counter,
         counted_config,
         UniformCountScheduler::new(),
-        7,
+        StdRng::seed_from_u64(7),
         &loaded,
     );
     warm.prime_states(states.iter().copied());
@@ -202,11 +204,11 @@ fn bench_table_store(c: &mut Criterion) {
     cold.run_until_silent(u64::MAX / 2).unwrap();
     let disk_table: TransitionTable<CirclesProtocol> =
         transition_store::load(&protocol, &store_path).unwrap();
-    let mut warm = CompactCountEngine::with_table_parts(
+    let mut warm = CountEngine::<_, _, CompactActivity>::with_table_rng(
         &protocol,
         config,
         UniformCountScheduler::new(),
-        11,
+        StdRng::seed_from_u64(11),
         &disk_table,
     );
     warm.run_until_silent(u64::MAX / 2).unwrap();

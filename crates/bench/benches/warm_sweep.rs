@@ -43,8 +43,10 @@ use pp_analysis::table_cache::TableCache;
 use pp_analysis::trial::{Backend, TrialRunner};
 use pp_analysis::workloads::{margin_workload, true_winner};
 use pp_protocol::{
-    CompactCountEngine, CountConfig, CountEngine, Protocol, TransitionTable, UniformCountScheduler,
+    CompactActivity, CountConfig, CountEngine, Protocol, TransitionTable, UniformCountScheduler,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 // `k = 30` is the regime where discovery dominates; `n = 3000` keeps the
 // sixteen end-to-end runs CI-sized (the slot table is ~5×10³ here — the
@@ -145,11 +147,11 @@ fn bench_warm_sweep(c: &mut Criterion) {
         let counted_config: CountConfig<CirclesState> =
             inputs.iter().map(|i| counter.input(i)).collect();
         let start = Instant::now();
-        let mut engine = CompactCountEngine::with_table_parts(
+        let mut engine = CountEngine::<_, _, CompactActivity>::with_table_rng(
             &counter,
             counted_config,
             UniformCountScheduler::new(),
-            7,
+            StdRng::seed_from_u64(7),
             &counted_table,
         );
         engine.prime_states(states.iter().copied());

@@ -46,7 +46,7 @@ use pp_extensions::hazard_checkpoint::{
 };
 use pp_extensions::hazards::{Hazard, HazardKind, HazardOutcome, HazardPlan};
 use pp_protocol::{
-    run_checkpoint, Activity, CompactCountEngine, CountConfig, CountEngine, RunCheckpoint,
+    run_checkpoint, Activity, CompactActivity, CountConfig, CountEngine, RunCheckpoint,
     SparseActivity, UniformCountScheduler,
 };
 use rand::rngs::Philox4x32;
@@ -291,13 +291,14 @@ fn main() {
             let mut hazard_rng = Philox4x32::stream(0, opts.seed | 1 << 63);
             match &table {
                 Some(table) => {
-                    let mut engine = CompactCountEngine::<_, _, Philox4x32>::with_table_rng(
-                        &protocol,
-                        config_from(&counts),
-                        UniformCountScheduler::new(),
-                        trial_rng,
-                        table,
-                    );
+                    let mut engine =
+                        CountEngine::<_, _, CompactActivity, Philox4x32>::with_table_rng(
+                            &protocol,
+                            config_from(&counts),
+                            UniformCountScheduler::new(),
+                            trial_rng,
+                            table,
+                        );
                     drive(&mut engine, progress, &counts, &mut hazard_rng, &opts)
                 }
                 None => {
@@ -339,16 +340,17 @@ fn main() {
             );
             match &table {
                 Some(table) => {
-                    let mut engine = CompactCountEngine::<_, _, Philox4x32>::resume_with_snapshot(
-                        &protocol,
-                        UniformCountScheduler::new(),
-                        &ck,
-                        table.snapshot(),
-                    )
-                    .unwrap_or_else(|e| {
-                        eprintln!("error: cannot resume engine: {e}");
-                        std::process::exit(1);
-                    });
+                    let mut engine =
+                        CountEngine::<_, _, CompactActivity, Philox4x32>::resume_with_snapshot(
+                            &protocol,
+                            UniformCountScheduler::new(),
+                            &ck,
+                            table.snapshot(),
+                        )
+                        .unwrap_or_else(|e| {
+                            eprintln!("error: cannot resume engine: {e}");
+                            std::process::exit(1);
+                        });
                     drive(&mut engine, progress, &counts, &mut hazard_rng, &opts)
                 }
                 None => {

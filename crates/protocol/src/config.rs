@@ -103,7 +103,7 @@ impl<S: Clone + Ord> CountConfig<S> {
     }
 
     /// Iterates over `(state, count)` pairs in state order.
-    pub fn iter(&self) -> impl Iterator<Item = (&S, usize)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&S, usize)> + Clone {
         self.counts.iter().map(|(s, c)| (s, *c))
     }
 

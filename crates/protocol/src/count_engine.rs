@@ -26,6 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::hashing::FxBuildHasher;
@@ -33,7 +34,7 @@ use crate::hashing::FxBuildHasher;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::activity::{Activity, AdjRows, CompactActivity, DenseActivity, SparseActivity};
+use crate::activity::{Activity, AdjRows, DenseActivity, SparseActivity};
 use crate::config::CountConfig;
 use crate::count_trace::CountTrace;
 use crate::error::FrameworkError;
@@ -156,18 +157,41 @@ impl<S> WarmState<S> {
     }
 }
 
+/// Classifies `state` against partners the warm snapshot cannot answer:
+/// pushes each partner id whose pair `(state, partner)` is active onto
+/// `out`, and each whose mirrored pair `(partner, state)` is active onto
+/// `into`. Symmetric protocols reuse the forward answer for the mirror.
+/// `is_null` is the caller's classifier (recording or read-only quotient).
+fn classify_partners<'s, S: 's>(
+    state: &S,
+    partners: impl Iterator<Item = (u32, &'s S)>,
+    symmetric: bool,
+    mut is_null: impl FnMut(&S, &S) -> bool,
+    out: &mut Vec<u32>,
+    into: &mut Vec<u32>,
+) {
+    for (id, partner) in partners {
+        let forward = !is_null(state, partner);
+        if forward {
+            out.push(id);
+        }
+        let mirrored = if symmetric {
+            forward
+        } else {
+            !is_null(partner, state)
+        };
+        if mirrored {
+            into.push(id);
+        }
+    }
+}
+
 /// The count engine over the [`DenseActivity`] baseline index — the previous
 /// engine's `O(slots)`-per-change-point bookkeeping, kept for equivalence
-/// tests and the `backend` benchmark's sparse-vs-dense comparison.
+/// tests and the `backend` benchmark's sparse-vs-dense comparison. Built
+/// with the generic constructors, e.g. `DenseCountEngine::with_rng(..)`.
 pub type DenseCountEngine<'p, P, CS = UniformCountScheduler, R = StdRng> =
     CountEngine<'p, P, CS, DenseActivity, R>;
-
-/// The count engine over the [`CompactActivity`] index — the default
-/// index under the name warm callers use: compressed adjacency rows that
-/// keep slot tables past `10^4` (full-discovery Circles toward `k = 40`)
-/// well under a byte per active pair.
-pub type CompactCountEngine<'p, P, CS = UniformCountScheduler, R = StdRng> =
-    CountEngine<'p, P, CS, CompactActivity, R>;
 
 /// Upper bound on memoized transition outcomes per engine (~4M entries,
 /// tens of MB with hash-map overhead). Long runs over very dense activity
@@ -208,101 +232,11 @@ impl<'p, P: Protocol> CountEngine<'p, P, UniformCountScheduler, SparseActivity> 
     ///
     /// Panics when the configuration holds more than `2^63 − 1` agents.
     pub fn from_config(protocol: &'p P, config: CountConfig<P::State>, seed: u64) -> Self {
-        Self::with_scheduler(protocol, config, UniformCountScheduler::new(), seed)
-    }
-}
-
-impl<'p, P, CS> CountEngine<'p, P, CS, SparseActivity>
-where
-    P: Protocol,
-    CS: CountScheduler<P::State>,
-{
-    /// Creates an engine over `config`, driven by `scheduler` and the RNG
-    /// seeded with `seed`, on the default sparse activity index.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
-    pub fn with_scheduler(
-        protocol: &'p P,
-        config: CountConfig<P::State>,
-        scheduler: CS,
-        seed: u64,
-    ) -> Self {
-        Self::with_parts(protocol, config, scheduler, seed)
-    }
-
-    /// Creates a warm-started engine on the default sparse activity index —
-    /// see [`with_table_parts`](Self::with_table_parts) for the semantics
-    /// (and for selecting another activity index).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
-    pub fn with_table(
-        protocol: &'p P,
-        config: CountConfig<P::State>,
-        scheduler: CS,
-        seed: u64,
-        table: &TransitionTable<P>,
-    ) -> Self {
-        Self::with_table_parts(protocol, config, scheduler, seed, table)
-    }
-}
-
-impl<'p, P, CS, A> CountEngine<'p, P, CS, A>
-where
-    P: Protocol,
-    CS: CountScheduler<P::State>,
-    A: Activity,
-{
-    /// Creates an engine over `config` with an explicit activity index —
-    /// `CountEngine::<_, _, DenseActivity>::with_parts(..)` selects the
-    /// dense baseline (or use the [`DenseCountEngine`] alias).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents —
-    /// pair weights (`≤ n(n−1)`) and their signed deltas must fit `u128`.
-    pub fn with_parts(
-        protocol: &'p P,
-        config: CountConfig<P::State>,
-        scheduler: CS,
-        seed: u64,
-    ) -> Self {
-        Self::with_rng(protocol, config, scheduler, StdRng::seed_from_u64(seed))
-    }
-
-    /// Like [`with_parts`](Self::with_parts), but warm-started from `table`,
-    /// used as a *lookup oracle*: states the table knows materialize their
-    /// activity rows and transition outcomes from a snapshot of it — zero
-    /// protocol calls — while unknown states pay ordinary per-pair
-    /// discovery.
-    ///
-    /// **Canonical slot order.** The table never influences slot numbering:
-    /// slots are created exactly when (and in the order that) a cold run of
-    /// the same seed would create them, and lookups return exactly what the
-    /// protocol would. A warm run is therefore **bit-identical** to the
-    /// cold run of the same seed — same trajectory, same `RunReport`, same
-    /// RNG stream — regardless of the table's id order, how many states it
-    /// holds, or which other engines are exporting into it concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
-    pub fn with_table_parts(
-        protocol: &'p P,
-        config: CountConfig<P::State>,
-        scheduler: CS,
-        seed: u64,
-        table: &TransitionTable<P>,
-    ) -> Self {
-        Self::with_table_rng(
+        Self::with_rng(
             protocol,
             config,
-            scheduler,
+            UniformCountScheduler::new(),
             StdRng::seed_from_u64(seed),
-            table,
         )
     }
 }
@@ -314,26 +248,43 @@ where
     A: Activity,
     R: RngCore,
 {
-    /// Like [`with_parts`](Self::with_parts) with an explicitly constructed
-    /// generator — the entry point for counter-based trial streams
-    /// ([`Philox4x32::stream`](rand::rngs::Philox4x32::stream)) whose
-    /// identity is richer than one `u64`.
+    /// Creates an engine over `config`, driven by `scheduler` and `rng`, on
+    /// the activity index `A` — `CountEngine::<_, _, DenseActivity, _>`
+    /// selects the dense baseline (or use the [`DenseCountEngine`] alias).
+    /// `StdRng::seed_from_u64(seed)` reproduces
+    /// [`from_config`](Self::from_config)'s stream; counter-based trial
+    /// streams ([`Philox4x32::stream`](rand::rngs::Philox4x32::stream))
+    /// carry identities richer than one `u64`.
     ///
     /// # Panics
     ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
+    /// Panics when the configuration holds more than `2^63 − 1` agents —
+    /// pair weights (`≤ n(n−1)`) and their signed deltas must fit `u128`.
     pub fn with_rng(protocol: &'p P, config: CountConfig<P::State>, scheduler: CS, rng: R) -> Self {
-        let mut engine = Self::empty(protocol, scheduler, rng, config.distinct());
-        engine.seed_config(config);
-        engine
+        let slots = config.iter().map(|(s, c)| (s, c as u64));
+        Self::build(protocol, scheduler, rng, None, slots)
+            .expect("a CountConfig holds each state once")
     }
 
-    /// [`with_table_parts`](Self::with_table_parts) with an explicitly
-    /// constructed generator; see there for the canonical-order contract.
+    /// Like [`with_rng`](Self::with_rng), but warm-started from `table`,
+    /// used as a *lookup oracle*: states the table knows materialize their
+    /// activity rows and transition outcomes from a snapshot of it — zero
+    /// protocol calls — while unknown states pay ordinary per-pair
+    /// discovery.
+    ///
+    /// **Canonical slot order.** The table never influences slot numbering:
+    /// slots are created exactly when (and in the order that) a cold run of
+    /// the same generator would create them, and lookups return exactly
+    /// what the protocol would. A warm run is therefore **bit-identical** to
+    /// the cold run of the same generator — same trajectory, same
+    /// `RunReport`, same RNG stream — regardless of the table's id order,
+    /// how many states it holds, or which other engines are exporting into
+    /// it concurrently.
     ///
     /// # Panics
     ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
+    /// Panics when the configuration holds more than `2^63 − 1` agents, and
+    /// when the table's adjacency symmetry disagrees with the protocol's.
     pub fn with_table_rng(
         protocol: &'p P,
         config: CountConfig<P::State>,
@@ -348,14 +299,15 @@ where
     /// already-captured [`TableSnapshot`] handle: construction is an `Arc`
     /// refcount bump, so a sweep captures one snapshot per epoch
     /// ([`TransitionTable::snapshot`]) and shares it across every trial of
-    /// the epoch. The canonical-order contract of
-    /// [`with_table_parts`](Self::with_table_parts) holds unchanged —
+    /// the epoch. The canonical-slot-order contract holds unchanged —
     /// snapshots are lookup oracles, so which epoch's snapshot a trial got
     /// never affects its trajectory.
     ///
     /// # Panics
     ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
+    /// Panics when the configuration holds more than `2^63 − 1` agents, and
+    /// when a non-empty snapshot's adjacency symmetry disagrees with the
+    /// protocol's.
     pub fn with_snapshot_rng(
         protocol: &'p P,
         config: CountConfig<P::State>,
@@ -363,27 +315,54 @@ where
         rng: R,
         snapshot: Arc<TableSnapshot<P::State>>,
     ) -> Self {
-        let mut engine = Self::empty(protocol, scheduler, rng, config.distinct());
-        if !snapshot.is_empty() {
-            debug_assert_eq!(
-                snapshot.symmetric(),
-                engine.symmetric,
-                "snapshot and engine disagree on adjacency symmetry"
-            );
-            engine.warm = Some(WarmState::new(snapshot));
-        }
-        engine.seed_config(config);
-        engine
+        let slots = config.iter().map(|(s, c)| (s, c as u64));
+        Self::build(protocol, scheduler, rng, Some(snapshot), slots)
+            .expect("a CountConfig holds each state once")
     }
 
-    /// An engine with no slots and no agents yet.
-    fn empty(protocol: &'p P, scheduler: CS, rng: R, distinct: usize) -> Self {
+    /// The one construction path. Makes an empty engine, attaches the
+    /// warm snapshot (when non-empty), registers the `(state, count)`
+    /// `slots` in order — discovery, warm ingestion and activity rows all
+    /// happen here — then loads the nonzero counts into the counts, the
+    /// activity index and the output histogram, and settles once.
+    /// `Err((i, slot))` when state `i` repeats the earlier `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the counts sum to `2^63` or more, and when a non-empty
+    /// snapshot's adjacency symmetry disagrees with the protocol's — a
+    /// symmetric engine would otherwise mirror an asymmetric table's
+    /// out-rows into its in-rows.
+    fn build<'s>(
+        protocol: &'p P,
+        scheduler: CS,
+        rng: R,
+        snapshot: Option<Arc<TableSnapshot<P::State>>>,
+        slots: impl Iterator<Item = (&'s P::State, u64)> + Clone,
+    ) -> Result<Self, (usize, usize)>
+    where
+        P::State: 's,
+    {
+        let n: u128 = slots.clone().map(|(_, c)| u128::from(c)).sum();
+        assert!(
+            n < 1 << 63,
+            "CountEngine supports at most 2^63 - 1 agents, got {n}"
+        );
         let symmetric = protocol.is_symmetric();
         let mut activity = A::default();
         if symmetric {
             activity.declare_symmetric();
         }
-        CountEngine {
+        let distinct = slots.size_hint().0;
+        let warm = snapshot.filter(|snap| !snap.is_empty()).map(|snap| {
+            assert_eq!(
+                snap.symmetric(),
+                symmetric,
+                "snapshot and engine disagree on adjacency symmetry"
+            );
+            WarmState::new(snap)
+        });
+        let mut engine = CountEngine {
             protocol,
             scheduler,
             rng,
@@ -391,7 +370,7 @@ where
             outs: Vec::with_capacity(distinct),
             counts: Vec::with_capacity(distinct),
             index: HashMap::with_capacity_and_hasher(distinct, FxBuildHasher::default()),
-            n: 0,
+            n: n as u64,
             activity,
             stats: SimStats::default(),
             output_counts: BTreeMap::new(),
@@ -401,35 +380,30 @@ where
             outcomes: HashMap::with_hasher(FxBuildHasher::default()),
             new_outcomes: Vec::new(),
             quotient: protocol.color_quotient().map(QuotientMemo::new),
-            warm: None,
+            warm,
+        };
+        for (i, (s, _)) in slots.clone().enumerate() {
+            let slot = engine.ensure_slot(s.clone());
+            if slot != i {
+                return Err((i, slot));
+            }
         }
-    }
-
-    /// Registers `config`'s states as slots (discovering any the engine does
-    /// not already know) and applies its counts.
-    fn seed_config(&mut self, config: CountConfig<P::State>) {
-        assert!(
-            (config.n() as u128) < (1u128 << 63),
-            "CountEngine supports at most 2^63 - 1 agents, got {}",
-            config.n()
-        );
-        self.n = config.n() as u64;
-        for (s, _) in config.iter() {
-            self.ensure_slot(s.clone());
-        }
-        for (s, c) in config.iter() {
-            let slot = self.index[s];
-            self.counts[slot] = c as u64;
-            self.activity.count_changed(slot, c as i64);
-            *self
+        for (slot, (_, c)) in slots.enumerate() {
+            if c == 0 {
+                // Zero-count slots stay registered but must not enter the
+                // output histogram — a spurious entry would mask consensus.
+                continue;
+            }
+            engine.counts[slot] = c;
+            engine.activity.count_changed(slot, c as i64);
+            *engine
                 .output_counts
-                .entry(self.outs[slot].clone())
-                .or_insert(0) += c;
+                .entry(engine.outs[slot].clone())
+                .or_insert(0) += c as usize;
         }
-        self.activity.settle(&self.counts);
-        if self.output_counts.len() > 1 {
-            self.last_disagreement = Some(0);
-        }
+        engine.activity.settle(&engine.counts);
+        engine.note_disagreement();
+        Ok(engine)
     }
 
     /// Number of agents.
@@ -589,16 +563,7 @@ where
         &mut self,
         max_steps: u64,
     ) -> Result<RunReport<P::Output>, FrameworkError> {
-        loop {
-            if self.is_silent() {
-                return Ok(self.report());
-            }
-            let remaining = max_steps.saturating_sub(self.stats.steps);
-            if remaining == 0 {
-                return Err(FrameworkError::MaxStepsExceeded { max_steps });
-            }
-            self.advance_one_change(remaining);
-        }
+        self.run_until_silent_checkpointed(max_steps, 0, |_| ControlFlow::Continue(()))
     }
 
     /// Runs exactly until `target_steps` total interactions have elapsed (or
@@ -611,21 +576,7 @@ where
     /// Returns [`FrameworkError::PopulationTooSmall`] for populations with
     /// fewer than two agents (which cannot interact at all).
     pub fn advance_to(&mut self, target_steps: u64) -> Result<(), FrameworkError> {
-        if self.n < 2 {
-            if target_steps > self.stats.steps {
-                return Err(FrameworkError::PopulationTooSmall { n: self.n as usize });
-            }
-            return Ok(());
-        }
-        while self.stats.steps < target_steps {
-            if self.is_silent() {
-                // Every remaining interaction is null.
-                self.stats.steps = target_steps;
-                return Ok(());
-            }
-            self.advance_one_change(target_steps - self.stats.steps);
-        }
-        Ok(())
+        self.advance_to_checkpointed(target_steps, 0, |_| ControlFlow::Continue(()))
     }
 
     /// [`run_until_silent`](Self::run_until_silent) with a periodic
@@ -653,7 +604,7 @@ where
         mut hook: F,
     ) -> Result<RunReport<P::Output>, FrameworkError>
     where
-        F: FnMut(&Self) -> std::ops::ControlFlow<()>,
+        F: FnMut(&Self) -> ControlFlow<()>,
     {
         let mut last_hook_changes = self.stats.state_changes;
         loop {
@@ -692,7 +643,7 @@ where
         mut hook: F,
     ) -> Result<(), FrameworkError>
     where
-        F: FnMut(&Self) -> std::ops::ControlFlow<()>,
+        F: FnMut(&Self) -> ControlFlow<()>,
     {
         if self.n < 2 {
             if target_steps > self.stats.steps {
@@ -898,20 +849,14 @@ where
                         true
                     });
                 }
-                for &e in &warm.novel {
-                    let (s_new, s_old) = (&states[idx], &states[e as usize]);
-                    if !is_null(s_new, s_old) {
-                        warm.out_buf.push(e);
-                    }
-                    let mirrored = if self.symmetric {
-                        warm.out_buf.last() == Some(&e)
-                    } else {
-                        !is_null(s_old, s_new)
-                    };
-                    if mirrored {
-                        warm.in_buf.push(e);
-                    }
-                }
+                classify_partners(
+                    &states[idx],
+                    warm.novel.iter().map(|&e| (e, &states[e as usize])),
+                    self.symmetric,
+                    &mut is_null,
+                    &mut warm.out_buf,
+                    &mut warm.in_buf,
+                );
                 let diag = warm.snap.contains(tid, tid);
                 warm.out_buf.sort_unstable();
                 warm.in_buf.sort_unstable();
@@ -1105,8 +1050,8 @@ where
     }
 
     /// Heap bytes the activity index devotes to pair adjacency — the
-    /// footprint the compact index minimizes (see
-    /// [`CompactActivity`]).
+    /// footprint the compressed rows minimize (see
+    /// [`activity`](crate::activity)).
     pub fn adjacency_bytes(&self) -> usize {
         self.activity.adjacency_bytes()
     }
@@ -1122,7 +1067,7 @@ where
 
     /// Publishes this engine's discovered structure — novel states, pair
     /// activity, applied transition outcomes — into `table`, so later
-    /// engines can [warm-start](Self::with_table_parts) from it.
+    /// engines can [warm-start](Self::with_table_rng) from it.
     ///
     /// Publication is lock-free: the engine captures the table's current
     /// tip, builds one immutable segment extending it (novel states in
@@ -1215,21 +1160,14 @@ where
             in_buf.clear();
             self.activity.walk_out(u, &mut |e| out_buf.push(tid_of[e]));
             self.activity.walk_in(u, &mut |e| in_buf.push(tid_of[e]));
-            let su = &self.states[u];
-            for &g in &unknown {
-                let sv = tip.state(g);
-                if !is_null(su, sv) {
-                    out_buf.push(g);
-                }
-                let mirrored = if self.symmetric {
-                    out_buf.last() == Some(&g)
-                } else {
-                    !is_null(sv, su)
-                };
-                if mirrored {
-                    in_buf.push(g);
-                }
-            }
+            classify_partners(
+                &self.states[u],
+                unknown.iter().map(|&g| (g, tip.state(g))),
+                self.symmetric,
+                &is_null,
+                &mut out_buf,
+                &mut in_buf,
+            );
             // Engine-slot order is not global-id order, so the mapped ids
             // need one sort before the ascending row appends.
             out_buf.sort_unstable();
@@ -1391,42 +1329,15 @@ where
             CheckpointError::Corrupt("rng state words do not decode to a generator state".into())
         })?;
 
-        let mut engine = Self::empty(protocol, scheduler, rng, checkpoint.states.len());
-        if let Some(snap) = snapshot {
-            if !snap.is_empty() {
-                debug_assert_eq!(
-                    snap.symmetric(),
-                    engine.symmetric,
-                    "snapshot and engine disagree on adjacency symmetry"
-                );
-                engine.warm = Some(WarmState::new(snap));
-            }
-        }
-        // Re-register every slot in checkpointed (canonical) order —
-        // discovery, warm-ingestion and activity rows all rebuild here.
-        for (i, s) in checkpoint.states.iter().enumerate() {
-            let slot = engine.ensure_slot(s.clone());
-            if slot != i {
-                return Err(CheckpointError::Corrupt(format!(
-                    "state {i} duplicates slot {slot}"
-                )));
-            }
-        }
-        engine.n = checkpoint.n;
-        for (slot, &c) in checkpoint.counts.iter().enumerate() {
-            if c == 0 {
-                // Zero-count slots stay registered but must not enter the
-                // output histogram — a spurious entry would mask consensus.
-                continue;
-            }
-            engine.counts[slot] = c;
-            engine.activity.count_changed(slot, c as i64);
-            *engine
-                .output_counts
-                .entry(engine.outs[slot].clone())
-                .or_insert(0) += c as usize;
-        }
-        engine.activity.settle(&engine.counts);
+        // Re-register every slot in checkpointed (canonical) order.
+        let slots = checkpoint
+            .states
+            .iter()
+            .zip(checkpoint.counts.iter().copied());
+        let mut engine =
+            Self::build(protocol, scheduler, rng, snapshot, slots).map_err(|(i, slot)| {
+                CheckpointError::Corrupt(format!("state {i} duplicates slot {slot}"))
+            })?;
         engine.stats = checkpoint.stats;
         engine.last_disagreement = checkpoint.last_disagreement;
         if let Some(pairs) = &checkpoint.trace {
@@ -1537,8 +1448,12 @@ mod tests {
     fn dense_engine_mass_invariant_holds_too() {
         let inputs: Vec<u8> = (0..1_000).map(|i| (i % 9) as u8).collect();
         let config: CountConfig<u8> = inputs.iter().copied().collect();
-        let mut engine =
-            DenseCountEngine::with_parts(&Max, config, UniformCountScheduler::new(), 5);
+        let mut engine = DenseCountEngine::with_rng(
+            &Max,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(5),
+        );
         while !engine.is_silent() {
             engine.advance_one_change(u64::MAX);
             assert_eq!(engine.mass(), mass_by_bruteforce(&engine));
@@ -1563,6 +1478,24 @@ mod tests {
         ));
         // ... but is vacuously silent for the batched runner.
         assert!(engine.run_until_silent(10).is_ok());
+        // Advancing is vacuous up to the current step and an error past it.
+        assert_eq!(engine.advance_to(0), Ok(()));
+        assert_eq!(
+            engine.advance_to(1),
+            Err(FrameworkError::PopulationTooSmall { n: 1 })
+        );
+        // `every_changes = 0` never calls the hook, even across changes.
+        let inputs: Vec<u8> = (0..50).map(|i| (i % 5) as u8).collect();
+        let mut engine = CountEngine::from_inputs(&Max, &inputs, 1);
+        let mut calls = 0;
+        engine
+            .run_until_silent_checkpointed(u64::MAX, 0, |_| {
+                calls += 1;
+                ControlFlow::Break(())
+            })
+            .unwrap();
+        assert!(engine.stats().state_changes > 0);
+        assert_eq!(calls, 0);
     }
 
     #[test]
@@ -1669,8 +1602,13 @@ mod tests {
         assert_eq!(table.active_pairs(), cold.active_pairs());
 
         let config: CountConfig<u8> = inputs.iter().copied().collect();
-        let mut warm =
-            CountEngine::with_table(&SymMax, config, UniformCountScheduler::new(), 77, &table);
+        let mut warm = CountEngine::<_, _, SparseActivity, _>::with_table_rng(
+            &SymMax,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(77),
+            &table,
+        );
         assert_eq!(warm.warm_slots(), table.len());
         let warm_report = warm.run_until_silent(u64::MAX).unwrap();
         assert_eq!(warm_report, cold_report);
@@ -1682,12 +1620,58 @@ mod tests {
         let inputs: Vec<u8> = (0..200).map(|i| (i % 9) as u8).collect();
         let table = TransitionTable::new();
         let config: CountConfig<u8> = inputs.iter().copied().collect();
-        let mut warm =
-            CountEngine::with_table(&Max, config, UniformCountScheduler::new(), 5, &table);
+        let mut warm = CountEngine::<_, _, SparseActivity, _>::with_table_rng(
+            &Max,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(5),
+            &table,
+        );
         assert_eq!(warm.warm_slots(), 0);
         let warm_report = warm.run_until_silent(u64::MAX).unwrap();
         let mut cold = CountEngine::from_inputs(&Max, &inputs, 5);
         assert_eq!(cold.run_until_silent(u64::MAX).unwrap(), warm_report);
+    }
+
+    /// A symmetric engine over an asymmetric table (same `State` type).
+    fn sym_max_over_max_snapshot() -> (CountConfig<u8>, Arc<TableSnapshot<u8>>) {
+        let mut scout = CountEngine::from_inputs(&Max, &[1u8, 2, 3], 1);
+        scout.run_until_silent(u64::MAX).unwrap();
+        let snapshot = scout.warm_table().snapshot();
+        assert!(!snapshot.symmetric());
+        ([1u8, 2].iter().copied().collect(), snapshot)
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on adjacency symmetry")]
+    fn snapshot_symmetry_mismatch_panics_on_construction() {
+        let (config, snapshot) = sym_max_over_max_snapshot();
+        let _ = CountEngine::<_, _, SparseActivity, _>::with_snapshot_rng(
+            &SymMax,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(1),
+            snapshot,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on adjacency symmetry")]
+    fn snapshot_symmetry_mismatch_panics_on_resume() {
+        let (config, snapshot) = sym_max_over_max_snapshot();
+        let ck = CountEngine::<_, _, SparseActivity, _>::with_rng(
+            &SymMax,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(1),
+        )
+        .checkpoint();
+        let _ = CountEngine::<_, _, SparseActivity, StdRng>::resume_with_snapshot(
+            &SymMax,
+            UniformCountScheduler::new(),
+            &ck,
+            snapshot,
+        );
     }
 
     #[test]
@@ -1720,8 +1704,13 @@ mod tests {
         // table-known pairs; slots materialize lazily, so only the states
         // the trajectory actually visits get one (state 3 stays virtual).
         let config: CountConfig<u8> = [1u8, 2, 5, 6].iter().copied().collect();
-        let mut warm =
-            CountEngine::with_table(&Max, config, UniformCountScheduler::new(), 3, &table);
+        let mut warm = CountEngine::<_, _, SparseActivity, _>::with_table_rng(
+            &Max,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(3),
+            &table,
+        );
         assert_eq!(warm.warm_slots(), 5);
         assert_eq!(warm.slots(), 4, "only the config states materialized");
         let report = warm.run_until_silent(u64::MAX).unwrap();
@@ -1748,7 +1737,13 @@ mod tests {
         assert_eq!(table_a.len(), table_b.len(), "lengths must coincide");
 
         let config: CountConfig<u8> = [1u8, 2].iter().copied().collect();
-        let warm = CountEngine::with_table(&Max, config, UniformCountScheduler::new(), 3, &table_a);
+        let warm = CountEngine::<_, _, SparseActivity, _>::with_table_rng(
+            &Max,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(3),
+            &table_a,
+        );
         warm.export_to(&table_b);
         let dump = table_b.dump();
         assert_eq!(dump.states.len(), 4, "5,6 from b; 1,2 merged in");
@@ -1771,8 +1766,13 @@ mod tests {
         assert_eq!(table.len(), 2);
         // The warm engine's config introduces state 9, unknown to the table.
         let config: CountConfig<u8> = [1u8, 2, 9].iter().copied().collect();
-        let mut warm =
-            CountEngine::with_table(&Max, config, UniformCountScheduler::new(), 4, &table);
+        let mut warm = CountEngine::<_, _, SparseActivity, _>::with_table_rng(
+            &Max,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(4),
+            &table,
+        );
         assert_eq!(warm.warm_slots(), 2);
         assert_eq!(warm.slots(), 3, "state 9 discovered past the warm prefix");
         let report = warm.run_until_silent(u64::MAX).unwrap();
@@ -1979,11 +1979,11 @@ mod tests {
         assert_eq!(trace.len() as u64, engine.stats().state_changes);
 
         let config: CountConfig<u8> = inputs.iter().copied().collect();
-        let mut replayed = CountEngine::with_scheduler(
+        let mut replayed = CountEngine::<_, _, SparseActivity, _>::with_rng(
             &Max,
             config,
             trace.clone().into_scheduler(),
-            0, // RNG is irrelevant under replay
+            StdRng::seed_from_u64(0), // RNG is irrelevant under replay
         );
         for _ in 0..trace.len() {
             assert!(replayed.step().unwrap(), "every traced pair is active");

@@ -97,7 +97,7 @@ pub use activity::{
     SparseActivity,
 };
 pub use config::CountConfig;
-pub use count_engine::{CompactCountEngine, CountEngine, DenseCountEngine};
+pub use count_engine::{CountEngine, DenseCountEngine};
 pub use count_trace::CountTrace;
 pub use error::FrameworkError;
 pub use population::Population;

@@ -8,7 +8,7 @@
 //! their null/active classification, and from applied active pairs to their
 //! transition outcomes. A finished engine [exports](crate::CountEngine::export_to)
 //! everything it discovered; a fresh engine
-//! [warm-starts](crate::CountEngine::with_table) by bulk-loading the table
+//! [warm-starts](crate::CountEngine::with_table_rng) by bulk-loading the table
 //! (`O(slots + pairs)`, zero protocol calls) and only pays discovery for
 //! states the table has never seen.
 //!
@@ -38,7 +38,8 @@
 //! # Example
 //!
 //! ```
-//! # use pp_protocol::{CountEngine, Protocol, TransitionTable, UniformCountScheduler};
+//! # use pp_protocol::{CountEngine, Protocol, SparseActivity, TransitionTable, UniformCountScheduler};
+//! # use rand::{rngs::StdRng, SeedableRng};
 //! # struct Max;
 //! # impl Protocol for Max {
 //! #     type State = u8; type Input = u8; type Output = u8;
@@ -51,11 +52,16 @@
 //! let inputs: Vec<u8> = (0..1000).map(|i| (i % 7) as u8).collect();
 //! let table = TransitionTable::new();
 //!
-//! // Seed 1 discovers; later seeds load the discovered structure.
+//! // The first seed discovers; later seeds load the discovered structure.
 //! for seed in 0..4 {
 //!     let config = inputs.iter().map(|i| Max.input(i)).collect();
-//!     let mut engine =
-//!         CountEngine::with_table(&Max, config, UniformCountScheduler::new(), seed, &table);
+//!     let mut engine = CountEngine::<_, _, SparseActivity, _>::with_table_rng(
+//!         &Max,
+//!         config,
+//!         UniformCountScheduler::new(),
+//!         StdRng::seed_from_u64(seed),
+//!         &table,
+//!     );
 //!     engine.run_until_silent(u64::MAX)?;
 //!     engine.export_to(&table);
 //! }
@@ -344,7 +350,7 @@ impl<P: Protocol> TransitionTable<P> {
     /// and always covers at least the chain as of this call (a memoized
     /// handle may be slightly fresher — snapshots are lookup oracles, so
     /// extra known states only save discovery work; see the canonical-order
-    /// contract on [`CountEngine::with_table`](crate::CountEngine::with_table)).
+    /// contract on [`CountEngine::with_table_rng`](crate::CountEngine::with_table_rng)).
     pub fn snapshot(&self) -> Arc<TableSnapshot<P::State>> {
         let live = self.segs.load(Ordering::Acquire);
         let mut cache = self.cache.lock().expect("snapshot cache poisoned");
@@ -436,7 +442,7 @@ impl std::ops::Deref for FlatRows<'_> {
 /// Warm engines use snapshots as *lookup oracles*: activity and outcome
 /// queries are answered from the snapshot instead of the protocol, without
 /// ever influencing slot numbering (see
-/// [`CountEngine::with_table`](crate::CountEngine::with_table)). Because
+/// [`CountEngine::with_table_rng`](crate::CountEngine::with_table_rng)). Because
 /// segments are immutable and the chain is captured by value, a snapshot
 /// never changes underneath its reader, no matter how many publishers race
 /// into the source table afterwards.

@@ -13,6 +13,8 @@ use pp_protocol::{
     SparseActivity, TransitionTable, UniformCountScheduler,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A randomly generated *symmetric* rule over states `0..m`: each unordered
 /// pair either rewrites both agents to a pair-determined target or is null.
@@ -104,11 +106,11 @@ fn assert_warm_matches_cold<P, A>(
     P: Protocol<State = u8, Input = u8, Output = u8>,
     A: pp_protocol::Activity,
 {
-    let mut warm = CountEngine::<P, UniformCountScheduler, A>::with_table_parts(
+    let mut warm = CountEngine::<P, UniformCountScheduler, A>::with_table_rng(
         protocol,
         config.clone(),
         UniformCountScheduler::new(),
-        seed,
+        StdRng::seed_from_u64(seed),
         table,
     );
     let _ = warm.run_until_silent(BUDGET);
@@ -215,11 +217,11 @@ proptest! {
         // Three rounds: the table is empty, then partially, then fully
         // populated — the warm run's report must never move.
         for round in 0..3u64 {
-            let mut warm = CountEngine::with_table(
+            let mut warm = CountEngine::<_, _, SparseActivity, _>::with_table_rng(
                 &protocol,
                 config.clone(),
                 UniformCountScheduler::new(),
-                run_seed,
+                StdRng::seed_from_u64(run_seed),
                 &table,
             );
             let _ = warm.run_until_silent(BUDGET);

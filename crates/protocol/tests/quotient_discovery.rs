@@ -32,6 +32,8 @@ use pp_protocol::{
     EnumerableProtocol, Protocol, RunReport, SparseActivity, StateQuotient, TransitionTable,
     UniformCountScheduler,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const K: u16 = 6;
 const BUDGET: u64 = 20_000_000;
@@ -180,11 +182,11 @@ fn workload(protocol: &Masked) -> CountConfig<CirclesState> {
 }
 
 fn cold_report<A: Activity>(protocol: &Masked, seed: u64) -> RunReport<Color> {
-    let mut engine = CountEngine::<_, _, A>::with_parts(
+    let mut engine = CountEngine::<_, _, A>::with_rng(
         protocol,
         workload(protocol),
         UniformCountScheduler::new(),
-        seed,
+        StdRng::seed_from_u64(seed),
     );
     let _ = engine.run_until_silent(BUDGET);
     engine.report()
@@ -195,11 +197,11 @@ fn warm_report<A: Activity>(
     seed: u64,
     table: &TransitionTable<Masked>,
 ) -> RunReport<Color> {
-    let mut engine = CountEngine::<_, _, A>::with_table_parts(
+    let mut engine = CountEngine::<_, _, A>::with_table_rng(
         protocol,
         workload(protocol),
         UniformCountScheduler::new(),
-        seed,
+        StdRng::seed_from_u64(seed),
         table,
     );
     let _ = engine.run_until_silent(BUDGET);

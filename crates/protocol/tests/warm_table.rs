@@ -20,6 +20,8 @@ use pp_protocol::{
     TransitionTable,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Forwards every query to the inner protocol but reports it as
 /// asymmetric, forcing the all-ordered-pairs discovery path.
@@ -153,11 +155,11 @@ fn assert_warm_replay_matches<P, A>(
     P: Protocol<State = u8, Input = u8, Output = u8>,
     A: pp_protocol::Activity,
 {
-    let mut warm = CountEngine::<P, ReplayCountScheduler<u8>, A>::with_table_parts(
+    let mut warm = CountEngine::<P, ReplayCountScheduler<u8>, A>::with_table_rng(
         protocol,
         config.clone(),
         trace.clone().into_scheduler(),
-        0, // the RNG must be irrelevant under replay
+        StdRng::seed_from_u64(0), // the RNG must be irrelevant under replay
         table,
     );
     for k in 0..trace.len() {

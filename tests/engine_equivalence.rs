@@ -15,9 +15,11 @@
 use circles::core::{CirclesProtocol, CirclesState, Color};
 use circles::protocol::{
     CountEngine, CountTrace, DenseCountEngine, Population, ReplayCountScheduler, RunReport,
-    Simulation, UniformCountScheduler, UniformPairScheduler,
+    Simulation, SparseActivity, UniformCountScheduler, UniformPairScheduler,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// An inline margin workload: color 0 leads by `margin` over equally
 /// supported losers (kept local so this test file stays independent of the
@@ -78,11 +80,11 @@ proptest! {
             use circles::protocol::Protocol;
             protocol.input(c)
         }).collect();
-        let mut engine = CountEngine::with_scheduler(
+        let mut engine = CountEngine::<_, _, SparseActivity, _>::with_rng(
             &protocol,
             config,
             ReplayCountScheduler::new(state_pairs),
-            !seed, // the RNG must be irrelevant under replay
+            StdRng::seed_from_u64(!seed), // the RNG must be irrelevant under replay
         );
         for _ in 0..steps {
             engine.step().unwrap();
@@ -114,17 +116,17 @@ fn large_k_circles_replay_is_bit_identical_on_both_indexes() {
             })
             .collect();
 
-        let mut sparse = CountEngine::with_scheduler(
+        let mut sparse = CountEngine::<_, _, SparseActivity, _>::with_rng(
             &protocol,
             config.clone(),
             ReplayCountScheduler::new(state_pairs.clone()),
-            !seed,
+            StdRng::seed_from_u64(!seed),
         );
-        let mut dense = DenseCountEngine::with_parts(
+        let mut dense = DenseCountEngine::with_rng(
             &protocol,
             config,
             ReplayCountScheduler::new(state_pairs),
-            seed ^ 0xABCD, // the RNG must be irrelevant under replay
+            StdRng::seed_from_u64(seed ^ 0xABCD), // the RNG must be irrelevant under replay
         );
         for _ in 0..steps {
             sparse.step().unwrap();
@@ -161,8 +163,12 @@ fn sparse_and_dense_uniform_runs_are_bit_identical_at_large_k() {
 
     let mut sparse = CountEngine::from_config(&protocol, config.clone(), 7);
     let sparse_report = sparse.run_until_silent(u64::MAX / 2).unwrap();
-    let mut dense =
-        DenseCountEngine::with_parts(&protocol, config, UniformCountScheduler::new(), 7);
+    let mut dense = DenseCountEngine::with_rng(
+        &protocol,
+        config,
+        UniformCountScheduler::new(),
+        StdRng::seed_from_u64(7),
+    );
     let dense_report = dense.run_until_silent(u64::MAX / 2).unwrap();
 
     assert_eq!(sparse_report, dense_report);
@@ -201,7 +207,12 @@ fn count_trace_jsonl_round_trips_and_replays() {
         })
         .collect();
     let steps = parsed.len();
-    let mut replayed = CountEngine::with_scheduler(&protocol, config, parsed.into_scheduler(), 999);
+    let mut replayed = CountEngine::<_, _, SparseActivity, _>::with_rng(
+        &protocol,
+        config,
+        parsed.into_scheduler(),
+        StdRng::seed_from_u64(999),
+    );
     for _ in 0..steps {
         assert!(replayed.step().unwrap(), "every traced pair changes state");
     }
