@@ -407,6 +407,14 @@ impl AdjRows {
         self.pairs
     }
 
+    /// `slots` empty rows.
+    pub fn with_slots(slots: usize) -> Self {
+        AdjRows {
+            rows: vec![CompactRow::new(); slots],
+            pairs: 0,
+        }
+    }
+
     /// Appends an empty row.
     pub fn push_slot(&mut self) {
         self.rows.push(CompactRow::new());
@@ -502,10 +510,7 @@ impl AdjRows {
     /// Builds rows from a generator: `f(i, push)` must call `push(j)` for
     /// every active `(i, j)` in ascending `j`.
     pub fn from_fn(slots: usize, f: impl Fn(usize, &mut dyn FnMut(usize))) -> Self {
-        let mut rows = AdjRows::new();
-        for _ in 0..slots {
-            rows.push_slot();
-        }
+        let mut rows = AdjRows::with_slots(slots);
         for i in 0..slots {
             f(i, &mut |j| rows.push(i, j));
         }
@@ -537,10 +542,7 @@ impl AdjRows {
     /// in ascending order because the outer walk ascends.
     pub fn transpose(&self) -> AdjRows {
         let slots = self.slots();
-        let mut out = AdjRows::new();
-        for _ in 0..slots {
-            out.push_slot();
-        }
+        let mut out = AdjRows::with_slots(slots);
         for i in 0..slots {
             self.walk(i, |j| {
                 out.push(j, i);

@@ -1128,16 +1128,8 @@ where
         if novel.is_empty() && outcomes.is_empty() {
             return None;
         }
-        let mut rows = AdjRows::new();
-        for _ in 0..novel.len() {
-            rows.push_slot();
-        }
-        let mut ext = AdjRows::new();
-        if !novel.is_empty() {
-            for _ in 0..base {
-                ext.push_slot();
-            }
-        }
+        let mut rows = AdjRows::with_slots(novel.len());
+        let mut ext = AdjRows::with_slots(if novel.is_empty() { 0 } else { base as usize });
         // Tip states this engine never materialized (raced in by other
         // publishers): their pairs against the novel states are classified
         // through the protocol directly, keeping the table complete.

@@ -31,9 +31,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-use crate::activity::AdjRows;
+use crate::activity::{AdjRows, RowRepr};
 use crate::hashing::FxBuildHasher;
 use crate::protocol::EnumerableProtocol;
+use crate::transition_store::sparse_payload;
 use crate::transition_table::TransitionTable;
 
 /// The canonical representative of an ordered state pair's orbit, plus the
@@ -253,11 +254,7 @@ where
         .ok_or(QuotientError::Unsupported)?;
     let states = protocol.states();
     let slots = states.len();
-    let mut index: HashMap<&P::State, u32, FxBuildHasher> =
-        HashMap::with_capacity_and_hasher(slots, FxBuildHasher::default());
-    for (t, s) in states.iter().enumerate() {
-        index.insert(s, t as u32);
-    }
+    let mut perms = TidPerms::new(quotient, &states);
 
     // Orbit decomposition: per state its representative's tid and the
     // group element mapping the representative onto it.
@@ -267,7 +264,7 @@ where
     let mut reps: Vec<u32> = Vec::new();
     for s in &states {
         let (canon, g) = quotient.canonical_state(s);
-        let &rep_tid = index.get(&canon).ok_or_else(|| {
+        let rep_tid = perms.tid(&canon).ok_or_else(|| {
             QuotientError::NotClosed(format!(
                 "canonical representative {canon:?} is not an enumerated state"
             ))
@@ -291,27 +288,22 @@ where
     // is `active(rep_j, g⁻¹·rep_i)` — a bit lookup, not a transition call.
     let symmetric = protocol.is_symmetric();
     let row_words = slots.div_ceil(64);
-    let mut rep_rows: Vec<Vec<u32>> = Vec::with_capacity(reps.len());
+    let mut rep_rows = AdjRows::with_slots(slots);
     let mut rep_bits: Vec<Vec<u64>> = Vec::new();
     // inv_perms[g][t] = tid of the state `g` maps onto `states[t]`.
     let mut inv_perms: HashMap<u32, Vec<u32>, FxBuildHasher> =
         HashMap::with_hasher(FxBuildHasher::default());
     for (i, &rt) in reps.iter().enumerate() {
         let rs = &states[rt as usize];
-        let mut row: Vec<u32> = Vec::new();
+        let mut bits = vec![0u64; if symmetric { row_words } else { 0 }];
         for t in 0..slots as u32 {
             let (rb_tid, g) = rep_of[t as usize];
             let j = rep_index[&rb_tid] as usize;
             let active = if symmetric && j < i {
                 if let Entry::Vacant(e) = inv_perms.entry(g) {
+                    let perm = perms.perm(g).map_err(QuotientError::NotClosed)?;
                     let mut inv = vec![u32::MAX; slots];
-                    for (src, s) in states.iter().enumerate() {
-                        let image = quotient.apply(g, s);
-                        let &it = index.get(&image).ok_or_else(|| {
-                            QuotientError::NotClosed(format!(
-                                "group element {g} maps {s:?} outside the state set"
-                            ))
-                        })?;
+                    for (src, &it) in perm.iter().enumerate() {
                         inv[it as usize] = src as u32;
                     }
                     e.insert(inv);
@@ -327,23 +319,21 @@ where
                 !protocol.is_null_interaction(rs, &states[t as usize])
             };
             if active {
-                row.push(t);
+                rep_rows.push(rt as usize, t as usize);
+                if symmetric {
+                    bits[t as usize / 64] |= 1 << (t % 64);
+                }
             }
         }
         if symmetric {
-            let mut bits = vec![0u64; row_words];
-            for &t in &row {
-                bits[t as usize / 64] |= 1 << (t % 64);
-            }
             rep_bits.push(bits);
         }
-        rep_rows.push(row);
     }
     drop(inv_perms);
     drop(rep_bits);
 
-    let rows = expand_orbit_rows(quotient, &states, &index, &rep_of, &rep_index, &rep_rows)
-        .map_err(QuotientError::NotClosed)?;
+    let rows =
+        expand_orbit_rows(&mut perms, &rep_of, &rep_rows).map_err(QuotientError::NotClosed)?;
     Ok(TransitionTable::from_parts(
         states,
         rows,
@@ -352,113 +342,132 @@ where
     ))
 }
 
-/// Expands per-representative out-rows into the full [`AdjRows`] through
-/// the group action: row of `apply(g, rep)` is the image of `rep`'s row
-/// under the tid-level permutation of `g`. Shared between
+/// A state list's tid index plus the tid-level action of a quotient's
+/// group elements on it, built lazily per element: `perm(g)[t]` is the
+/// tid of `apply(g, state t)`. The one place [`quotient_table`], the
+/// `.ppts` v2 writer's coherence check and its loader's orbit expansion
+/// turn group elements into permutations.
+pub(crate) struct TidPerms<'a, S, Q: ?Sized> {
+    quotient: &'a Q,
+    states: Vec<&'a S>,
+    index: HashMap<&'a S, u32, FxBuildHasher>,
+    perms: HashMap<u32, Vec<u32>, FxBuildHasher>,
+}
+
+impl<'a, S, Q> TidPerms<'a, S, Q>
+where
+    S: Eq + Hash,
+    Q: StateQuotient<S> + ?Sized,
+{
+    /// Indexes `states` in order: the `t`-th is tid `t`.
+    pub(crate) fn new(quotient: &'a Q, states: impl IntoIterator<Item = &'a S>) -> Self {
+        let states: Vec<&S> = states.into_iter().collect();
+        let index = states
+            .iter()
+            .enumerate()
+            .map(|(t, &s)| (s, t as u32))
+            .collect();
+        TidPerms {
+            quotient,
+            states,
+            index,
+            perms: HashMap::default(),
+        }
+    }
+
+    /// The tid of `state`, or `None` when it is not in the list.
+    pub(crate) fn tid(&self, state: &S) -> Option<u32> {
+        self.index.get(state).copied()
+    }
+
+    /// The tid permutation of group element `g`; fails when `g` maps a
+    /// listed state outside the list.
+    pub(crate) fn perm(&mut self, g: u32) -> Result<&[u32], String> {
+        if let Entry::Vacant(e) = self.perms.entry(g) {
+            let mut perm = Vec::with_capacity(self.states.len());
+            for (t, s) in self.states.iter().enumerate() {
+                let image = self.quotient.apply(g, s);
+                let &m = self.index.get(&image).ok_or_else(|| {
+                    format!("group element {g} maps state {t} outside the stored state set")
+                })?;
+                perm.push(m);
+            }
+            e.insert(perm);
+        }
+        Ok(&self.perms[&g])
+    }
+}
+
+/// Overwrites `image` with the bitset of row `rep`'s image under `perm`:
+/// bit `perm[u]` set for every id `u` of the row. Its popcount falls short
+/// of the row's length exactly when `perm` is not injective on the row.
+pub(crate) fn scatter_image(image: &mut [u64], perm: &[u32], rows: &AdjRows, rep: usize) {
+    image.fill(0);
+    rows.walk(rep, |u| {
+        let m = perm[u] as usize;
+        image[m / 64] |= 1 << (m % 64);
+        true
+    });
+}
+
+/// Expands the representatives' rows into the full [`AdjRows`] through
+/// the group action: the row of `apply(g, rep)` is the image of `rep`'s
+/// row under the tid permutation of `g`. Shared between
 /// [`quotient_table`] and the `.ppts` v2 loader. `rep_of[tid]` is
-/// `(rep_tid, g)`; `rep_index` maps a representative's tid to its index in
-/// `rep_rows`.
+/// `(rep_tid, g)`; `rep_rows` holds every representative's row at its own
+/// tid (other rows are ignored).
 ///
 /// Rows land in the same representation the incremental discovery path
 /// would produce: delta-varint lists while small, blocked bitsets past the
 /// [`CompactAdj`](crate::CompactAdj) densify threshold.
 pub(crate) fn expand_orbit_rows<S, Q>(
-    quotient: &Q,
-    states: &[S],
-    index: &HashMap<&S, u32, FxBuildHasher>,
+    perms: &mut TidPerms<'_, S, Q>,
     rep_of: &[(u32, u32)],
-    rep_index: &HashMap<u32, u32, FxBuildHasher>,
-    rep_rows: &[Vec<u32>],
+    rep_rows: &AdjRows,
 ) -> Result<AdjRows, String>
 where
-    S: Clone + Eq + Hash + fmt::Debug,
+    S: Eq + Hash,
     Q: StateQuotient<S> + ?Sized,
 {
-    let slots = states.len();
-    let mut rows = AdjRows::new();
-    for _ in 0..slots {
-        rows.push_slot();
-    }
-    // Tid-level permutation tables, one per group element actually used,
-    // built lazily: perm[t] = tid of apply(g, states[t]).
-    let mut perms: HashMap<u32, Vec<u32>, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
+    let slots = rep_rows.slots();
+    let mut rows = AdjRows::with_slots(slots);
     let threshold = slots / 8 + 8;
     let row_words = slots.div_ceil(64);
     let mut scratch: Vec<u32> = Vec::new();
     for (tid, &(rep_tid, g)) in rep_of.iter().enumerate() {
-        let r = rep_index
-            .get(&rep_tid)
-            .copied()
-            .ok_or_else(|| format!("state {tid} names an unlisted representative"))?;
-        let rep_row = rep_rows
-            .get(r as usize)
-            .ok_or_else(|| format!("representative index {r} out of range"))?;
-        if tid as u32 == rep_tid {
-            // The representative's own row: already in ascending tid order.
-            set_sorted_row(&mut rows, tid, rep_row, threshold, row_words);
+        let rep = rep_tid as usize;
+        let repr = rep_rows.row_repr(rep);
+        if tid == rep {
+            match repr {
+                RowRepr::Sparse { payload, last, len } => {
+                    rows.set_row_varint(tid, len, last, payload);
+                }
+                RowRepr::Dense { blocks, len } => rows.set_row_dense(tid, blocks.to_vec(), len),
+            }
             continue;
         }
-        if let Entry::Vacant(e) = perms.entry(g) {
-            let mut perm = Vec::with_capacity(slots);
-            for s in states {
-                let image = quotient.apply(g, s);
-                let &t = index
-                    .get(&image)
-                    .ok_or_else(|| format!("group element {g} maps {s:?} outside the state set"))?;
-                perm.push(t);
-            }
-            e.insert(perm);
-        }
-        let perm = &perms[&g];
-        if rep_row.len() > threshold {
+        let perm = perms.perm(g)?;
+        let (RowRepr::Sparse { len, .. } | RowRepr::Dense { len, .. }) = repr;
+        if len as usize > threshold {
             // A sparse encoding cannot fit (≥ 1 byte per id): go straight
             // to the bitset, which needs no sort.
             let mut blocks = vec![0u64; row_words];
-            for &t in rep_row {
-                let m = perm[t as usize] as usize;
-                blocks[m / 64] |= 1 << (m % 64);
-            }
-            rows.set_row_dense(tid, blocks, rep_row.len() as u32);
+            scatter_image(&mut blocks, perm, rep_rows, rep);
+            rows.set_row_dense(tid, blocks, len);
         } else {
             scratch.clear();
-            scratch.extend(rep_row.iter().map(|&t| perm[t as usize]));
+            rep_rows.walk(rep, |u| {
+                scratch.push(perm[u]);
+                true
+            });
             scratch.sort_unstable();
-            set_sorted_row(&mut rows, tid, &scratch, threshold, row_words);
+            // `set_row_varint` densifies by the shared threshold policy
+            // itself when the payload turns out too large.
+            let last = scratch.last().copied().unwrap_or(0);
+            rows.set_row_varint(tid, len, last, &sparse_payload(&scratch));
         }
     }
     Ok(rows)
-}
-
-/// Installs `ids` (ascending) as row `tid`, choosing the same sparse/dense
-/// representation the incremental path would.
-fn set_sorted_row(rows: &mut AdjRows, tid: usize, ids: &[u32], threshold: usize, row_words: usize) {
-    if ids.is_empty() {
-        return;
-    }
-    if ids.len() > threshold {
-        let mut blocks = vec![0u64; row_words];
-        for &m in ids {
-            blocks[m as usize / 64] |= 1 << (m % 64);
-        }
-        rows.set_row_dense(tid, blocks, ids.len() as u32);
-        return;
-    }
-    let mut payload = Vec::with_capacity(ids.len() * 2);
-    let mut prev = 0u32;
-    for (n, &m) in ids.iter().enumerate() {
-        let delta = if n == 0 { m } else { m - prev };
-        let mut v = delta;
-        while v >= 0x80 {
-            payload.push((v as u8 & 0x7F) | 0x80);
-            v >>= 7;
-        }
-        payload.push(v as u8);
-        prev = m;
-    }
-    // `set_row_varint` densifies by the shared threshold policy itself
-    // when the payload turns out too large.
-    rows.set_row_varint(tid, ids.len() as u32, prev, &payload);
 }
 
 #[cfg(test)]

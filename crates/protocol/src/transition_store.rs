@@ -38,7 +38,6 @@
 //! memory-mapping; at the ~MB scale of Circles stores the copy is
 //! negligible next to parsing.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::{self, Display};
 use std::fs;
@@ -49,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::activity::{AdjRows, RowRepr};
 use crate::hashing::FxBuildHasher;
 use crate::protocol::Protocol;
-use crate::quotient::{expand_orbit_rows, StateQuotient};
+use crate::quotient::{expand_orbit_rows, scatter_image, StateQuotient, TidPerms};
 use crate::transition_table::TransitionTable;
 
 /// Newest format version this build reads. [`save`] writes version 1
@@ -500,7 +499,7 @@ fn row_ids(repr: RowRepr<'_>) -> Vec<u32> {
 
 /// The delta-varint payload of an ascending id list — the sparse row wire
 /// format.
-fn sparse_payload(ids: &[u32]) -> Vec<u8> {
+pub(crate) fn sparse_payload(ids: &[u32]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(ids.len() * 2);
     let mut prev = 0u32;
     for (n, &id) in ids.iter().enumerate() {
@@ -762,7 +761,11 @@ where
 ///
 /// Before writing, the table is checked to be *orbit-coherent*: every
 /// state's canonical representative must be a stored state, and every row
-/// must equal the group image of its representative's row. A table built
+/// must equal the group image of its representative's row — checked
+/// without a sort, as equal length plus equal id set against the bitset
+/// the representative's row scatters to under the group element's tid
+/// permutation (a non-injective permutation leaves that image short of
+/// the row's length, so it is rejected too). A table built
 /// by any discovery path over an orbit-closed state set (e.g.
 /// [`quotient_table`](crate::quotient_table), or a cold engine primed with
 /// the full enumeration) passes; a table over a partial, non-closed state
@@ -790,19 +793,14 @@ where
     let snap = table.snapshot();
     let rows = snap.flat_rows();
     let slots = snap.len();
-
-    let mut index: HashMap<&P::State, u32, FxBuildHasher> =
-        HashMap::with_capacity_and_hasher(slots, FxBuildHasher::default());
-    for t in 0..slots as u32 {
-        index.insert(snap.state(t), t);
-    }
+    let mut perms = TidPerms::new(quotient, (0..slots as u32).map(|t| snap.state(t)));
 
     // Orbit decomposition over the table's own state order.
     let mut rep_of: Vec<(u32, u32)> = Vec::with_capacity(slots);
     for t in 0..slots as u32 {
         let s = snap.state(t);
         let (canon, g) = quotient.canonical_state(s);
-        let Some(&rep) = index.get(&canon) else {
+        let Some(rep) = perms.tid(&canon) else {
             return Err(StoreError::Quotient(format!(
                 "state {t} canonicalizes outside the stored state set — the table is not \
                  orbit-closed; rebuild from the full state enumeration"
@@ -825,47 +823,43 @@ where
         .map(|(i, &r)| (r, i as u32))
         .collect();
 
+    // Coherence check — every row must be the group image of its
+    // representative's row: as long, and equal as a set to the image
+    // bitset (which a non-injective permutation leaves short) — folded
+    // together with the v1 byte accounting (the price of the expanded
+    // layout this save is avoiding).
     let threshold = slots / 8 + 8;
     let row_words = slots.div_ceil(64);
-    let rep_ids: Vec<Vec<u32>> = rep_tids
-        .iter()
-        .map(|&r| row_ids(rows.row_repr(r as usize)))
-        .collect();
-
-    // Coherence check — every row must be the group image of its
-    // representative's row — folded together with the v1 byte accounting
-    // (the price of the expanded layout this save is avoiding).
-    let mut perms: HashMap<u32, Vec<u32>, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
+    let mut image = vec![0u64; row_words];
     let mut v1_rows_len = 0usize;
-    let mut scratch: Vec<u32> = Vec::new();
     for (t, &(rep, g)) in rep_of.iter().enumerate() {
-        v1_rows_len += encoded_row_len(rows.row_repr(t), threshold, row_words);
+        let repr = rows.row_repr(t);
+        v1_rows_len += encoded_row_len(repr, threshold, row_words);
         if t as u32 == rep {
             continue;
         }
-        if let Entry::Vacant(e) = perms.entry(g) {
-            let mut perm = Vec::with_capacity(slots);
-            for u in 0..slots as u32 {
-                let image = quotient.apply(g, snap.state(u));
-                let Some(&m) = index.get(&image) else {
-                    return Err(StoreError::Quotient(format!(
-                        "group element {g} maps state {u} outside the stored state set"
-                    )));
-                };
-                perm.push(m);
-            }
-            e.insert(perm);
-        }
-        let perm = &perms[&g];
-        scratch.clear();
-        scratch.extend(
-            rep_ids[rep_pos[&rep] as usize]
-                .iter()
-                .map(|&u| perm[u as usize]),
-        );
-        scratch.sort_unstable();
-        if row_ids(rows.row_repr(t)) != scratch {
+        let perm = perms.perm(g).map_err(StoreError::Quotient)?;
+        scatter_image(&mut image, perm, &rows, rep as usize);
+        let (RowRepr::Sparse { len, .. } | RowRepr::Dense { len, .. }) = repr;
+        let (RowRepr::Sparse { len: rep_len, .. } | RowRepr::Dense { len: rep_len, .. }) =
+            rows.row_repr(rep as usize);
+        let coherent = len == rep_len
+            && match repr {
+                // Absent trailing words of a stored bitset are zero.
+                RowRepr::Dense { blocks, .. } => image
+                    .iter()
+                    .zip(blocks.iter().chain(std::iter::repeat(&0)))
+                    .all(|(a, b)| a == b),
+                RowRepr::Sparse { .. } => {
+                    let mut inside = image.iter().map(|w| w.count_ones()).sum::<u32>() == len;
+                    rows.walk(t, |j| {
+                        inside &= image[j / 64] >> (j % 64) & 1 == 1;
+                        inside
+                    });
+                    inside
+                }
+            };
+        if !coherent {
             return Err(StoreError::Quotient(format!(
                 "row {t} is not the orbit image of its representative {rep} — the table was \
                  not built orbit-coherently"
@@ -1076,29 +1070,32 @@ fn decode_one_row<'a>(
 /// Decodes a v1 rows section into [`AdjRows`].
 fn decode_v1_rows(sec: &[u8], slots: usize) -> Result<AdjRows, StoreError> {
     let mut cur = Cursor::new("rows", sec);
-    let mut rows = AdjRows::new();
-    for _ in 0..slots {
-        rows.push_slot();
-    }
+    let mut rows = AdjRows::with_slots(slots);
     let row_words = slots.div_ceil(64);
     for i in 0..slots {
-        match decode_one_row(&mut cur, i, slots, row_words)? {
-            DecodedRow::Empty => {}
-            DecodedRow::Sparse {
-                count,
-                last,
-                payload,
-            } => {
-                // The validated payload is exactly the delta-varint
-                // encoding the in-memory rows use, so adopt it wholesale
-                // instead of re-encoding pair by pair.
-                rows.set_row_varint(i, count, last, payload);
-            }
-            DecodedRow::Dense { blocks, count } => rows.set_row_dense(i, blocks, count),
-        }
+        let row = decode_one_row(&mut cur, i, slots, row_words)?;
+        install_row(&mut rows, i, row);
     }
     cur.finish()?;
     Ok(rows)
+}
+
+/// Adopts a decoded row as row `i` of `rows`.
+fn install_row(rows: &mut AdjRows, i: usize, row: DecodedRow<'_>) {
+    match row {
+        DecodedRow::Empty => {}
+        DecodedRow::Sparse {
+            count,
+            last,
+            payload,
+        } => {
+            // The validated payload is exactly the delta-varint encoding
+            // the in-memory rows use, so adopt it wholesale instead of
+            // re-encoding pair by pair.
+            rows.set_row_varint(i, count, last, payload);
+        }
+        DecodedRow::Dense { blocks, count } => rows.set_row_dense(i, blocks, count),
+    }
 }
 
 /// Decodes a v2 rows section and re-expands it through the protocol's
@@ -1169,25 +1166,10 @@ where
         rep_of.push((rep_tids[ri as usize], g as u32));
     }
     let row_words = slots.div_ceil(64);
-    let mut rep_rows: Vec<Vec<u32>> = Vec::with_capacity(n_reps);
+    let mut rep_rows = AdjRows::with_slots(slots);
     for &r in &rep_tids {
-        let ids = match decode_one_row(&mut cur, r as usize, slots, row_words)? {
-            DecodedRow::Empty => Vec::new(),
-            DecodedRow::Sparse {
-                count,
-                last,
-                payload,
-            } => row_ids(RowRepr::Sparse {
-                payload,
-                last,
-                len: count,
-            }),
-            DecodedRow::Dense { blocks, count } => row_ids(RowRepr::Dense {
-                blocks: &blocks,
-                len: count,
-            }),
-        };
-        rep_rows.push(ids);
+        let row = decode_one_row(&mut cur, r as usize, slots, row_words)?;
+        install_row(&mut rep_rows, r as usize, row);
     }
     cur.finish()?;
 
@@ -1201,17 +1183,7 @@ where
             )));
         }
     }
-    let mut index: HashMap<&S, u32, FxBuildHasher> =
-        HashMap::with_capacity_and_hasher(slots, FxBuildHasher::default());
-    for (t, s) in states.iter().enumerate() {
-        index.insert(s, t as u32);
-    }
-    let rep_index: HashMap<u32, u32, FxBuildHasher> = rep_tids
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (r, i as u32))
-        .collect();
-    expand_orbit_rows(quotient, states, &index, &rep_of, &rep_index, &rep_rows)
+    expand_orbit_rows(&mut TidPerms::new(quotient, states), &rep_of, &rep_rows)
         .map_err(StoreError::Quotient)
 }
 
@@ -1520,6 +1492,218 @@ mod tests {
 
         fn fingerprint_param(&self) -> u64 {
             self.param
+        }
+    }
+
+    /// Two stripes of `M` states each over `Z_M`, equivariant under
+    /// rotation: state `c·M + x` sits in stripe `c` at position `x`. A
+    /// stripe-0 initiator meets every state at odd cyclic distance (a dense
+    /// row of `M` ids), a stripe-1 initiator only stripe-1 states at
+    /// distance 1 or 3 (a sparse row of two ids) — so a quotient table of
+    /// it holds both row representations.
+    struct Stripes;
+
+    const M: u16 = 64;
+
+    struct Rotate;
+
+    impl StateQuotient<u16> for Rotate {
+        fn group_order(&self) -> u32 {
+            u32::from(M)
+        }
+
+        fn apply(&self, g: u32, s: &u16) -> u16 {
+            s / M * M + ((u32::from(s % M) + g) % u32::from(M)) as u16
+        }
+
+        fn canonical_state(&self, s: &u16) -> (u16, u32) {
+            (s / M * M, u32::from(s % M))
+        }
+
+        fn canonical_pair(&self, a: &u16, b: &u16) -> crate::CanonicalPair<u16> {
+            let g = u32::from(a % M);
+            let back = u32::from(M) - g;
+            crate::CanonicalPair {
+                a: self.apply(back, a),
+                b: self.apply(back, b),
+                g,
+                swapped: false,
+            }
+        }
+    }
+
+    impl Protocol for Stripes {
+        type State = u16;
+        type Input = u16;
+        type Output = u16;
+
+        fn name(&self) -> &str {
+            "stripes"
+        }
+
+        fn input(&self, i: &u16) -> u16 {
+            *i
+        }
+
+        fn output(&self, s: &u16) -> u16 {
+            *s
+        }
+
+        fn transition(&self, a: &u16, b: &u16) -> (u16, u16) {
+            let d = (b % M + M - a % M) % M;
+            let active = match (a / M, b / M) {
+                (0, _) => d % 2 == 1,
+                (1, 1) => d == 1 || d == 3,
+                _ => false,
+            };
+            if active {
+                (*b, *a)
+            } else {
+                (*a, *b)
+            }
+        }
+
+        fn color_quotient(&self) -> Option<&dyn StateQuotient<u16>> {
+            Some(&Rotate)
+        }
+    }
+
+    impl crate::EnumerableProtocol for Stripes {
+        fn states(&self) -> Vec<u16> {
+            (0..2 * M).collect()
+        }
+    }
+
+    /// The stripes quotient table's state list and rows as id vectors.
+    fn stripes_parts() -> (Vec<u16>, Vec<Vec<u32>>) {
+        let table = crate::quotient_table(&Stripes).unwrap();
+        let snap = table.snapshot();
+        let states = (0..snap.len() as u32).map(|t| *snap.state(t)).collect();
+        (states, snap.flat_rows().to_vecs())
+    }
+
+    fn stripes_table(states: Vec<u16>, rows: &[Vec<u32>]) -> TransitionTable<Stripes> {
+        let rows = AdjRows::from_fn(states.len(), |i, push| {
+            for &j in &rows[i] {
+                push(j as usize);
+            }
+        });
+        TransitionTable::from_parts(states, rows, HashMap::default(), false)
+    }
+
+    /// A fresh temp store path, unique within this test process.
+    fn temp_path() -> PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "pp-store-stripes-{}-{}.ppts",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
+    /// Asserts `save_quotient` refuses `table` with a quotient error whose
+    /// message contains `why`, and leaves nothing at the target path.
+    fn assert_incoherent(table: &TransitionTable<Stripes>, why: &str) {
+        let path = temp_path();
+        let result = save_quotient(table, &Stripes, &path);
+        assert!(
+            matches!(&result, Err(StoreError::Quotient(msg)) if msg.contains(why)),
+            "expected a quotient error naming {why:?}, got {result:?}"
+        );
+        assert!(!path.exists(), "a rejected save must not write a file");
+    }
+
+    /// Stripe-0 position 5 (dense row) and stripe-1 position 5 (sparse).
+    const DENSE_ROW: usize = 5;
+    const SPARSE_ROW: usize = M as usize + 5;
+
+    #[test]
+    fn stripes_fixture_is_coherent_with_both_row_representations() {
+        let (states, rows) = stripes_parts();
+        let table = stripes_table(states, &rows);
+        let snap = table.snapshot();
+        let flat = snap.flat_rows();
+        assert_eq!(flat.to_vecs(), rows);
+        assert!(matches!(flat.row_repr(DENSE_ROW), RowRepr::Dense { .. }));
+        assert!(matches!(flat.row_repr(SPARSE_ROW), RowRepr::Sparse { .. }));
+        let path = temp_path();
+        let meta = save_quotient(&table, &Stripes, &path).unwrap();
+        assert_eq!(meta.quotient.map(|q| q.reps), Some(2));
+        let loaded = load(&Stripes, &path).unwrap();
+        let _ = fs::remove_file(&path);
+        assert_eq!(loaded.snapshot().flat_rows().to_vecs(), rows);
+    }
+
+    /// Replaces `from` by `to` in an ascending id list.
+    fn move_id(row: &mut Vec<u32>, from: u32, to: u32) {
+        let at = row.binary_search(&from).unwrap();
+        row.remove(at);
+        let at = row.binary_search(&to).unwrap_err();
+        row.insert(at, to);
+    }
+
+    #[test]
+    fn save_quotient_rejects_a_moved_id_in_a_dense_row() {
+        let (states, mut rows) = stripes_parts();
+        let first = rows[DENSE_ROW][0];
+        // Even distance from position 5: never in the row.
+        move_id(&mut rows[DENSE_ROW], first, DENSE_ROW as u32);
+        let table = stripes_table(states, &rows);
+        let snap = table.snapshot();
+        assert!(matches!(
+            snap.flat_rows().row_repr(DENSE_ROW),
+            RowRepr::Dense { .. }
+        ));
+        assert_incoherent(&table, "orbit image");
+    }
+
+    #[test]
+    fn save_quotient_rejects_a_moved_id_in_a_sparse_row() {
+        let (states, mut rows) = stripes_parts();
+        let first = rows[SPARSE_ROW][0];
+        move_id(&mut rows[SPARSE_ROW], first, first + 1);
+        let table = stripes_table(states, &rows);
+        let snap = table.snapshot();
+        assert!(matches!(
+            snap.flat_rows().row_repr(SPARSE_ROW),
+            RowRepr::Sparse { .. }
+        ));
+        assert_incoherent(&table, "orbit image");
+    }
+
+    #[test]
+    fn save_quotient_rejects_a_row_with_an_extra_id() {
+        for t in [DENSE_ROW, SPARSE_ROW] {
+            let (states, mut rows) = stripes_parts();
+            let extra = t as u32;
+            let at = rows[t].binary_search(&extra).unwrap_err();
+            rows[t].insert(at, extra);
+            assert_incoherent(&stripes_table(states, &rows), "orbit image");
+        }
+    }
+
+    #[test]
+    fn save_quotient_rejects_a_table_missing_a_state() {
+        // A non-representative (the group action leaves the state set) and
+        // a representative (its orbit canonicalizes outside it).
+        for dropped in [DENSE_ROW as u32, u32::from(M)] {
+            let (mut states, rows) = stripes_parts();
+            states.remove(dropped as usize);
+            let rows: Vec<Vec<u32>> = rows
+                .iter()
+                .enumerate()
+                .filter(|&(t, _)| t as u32 != dropped)
+                .map(|(_, row)| {
+                    row.iter()
+                        .filter(|&&j| j != dropped)
+                        .map(|&j| if j > dropped { j - 1 } else { j })
+                        .collect()
+                })
+                .collect();
+            assert_incoherent(
+                &stripes_table(states, &rows),
+                "outside the stored state set",
+            );
         }
     }
 

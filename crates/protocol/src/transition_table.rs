@@ -134,14 +134,8 @@ impl<S: Clone + Eq + Hash> Segment<S> {
             (None, None)
         } else {
             let b = base as usize;
-            let mut ins = AdjRows::new();
-            for _ in 0..states.len() {
-                ins.push_slot();
-            }
-            let mut ins_ext = AdjRows::new();
-            for _ in 0..b {
-                ins_ext.push_slot();
-            }
+            let mut ins = AdjRows::with_slots(states.len());
+            let mut ins_ext = AdjRows::with_slots(b);
             // Old → new edges land first (initiator ids < base), then new →
             // new edges in ascending initiator order, so every in-row is
             // built ascending.
@@ -614,10 +608,7 @@ impl<S> TableSnapshot<S> {
             return FlatRows::Borrowed(&self.segments[0].rows);
         }
         let n = self.len();
-        let mut rows = AdjRows::new();
-        for _ in 0..n {
-            rows.push_slot();
-        }
+        let mut rows = AdjRows::with_slots(n);
         for i in 0..n as u32 {
             self.walk_out(i, |j| {
                 rows.push(i as usize, j);
@@ -698,14 +689,8 @@ mod tests {
     fn install_race_fails_the_stale_publisher() {
         let table: TransitionTable<Noop> = TransitionTable::new();
         let seg = |states: Vec<u8>, base: u32| {
-            let mut rows = AdjRows::new();
-            for _ in 0..states.len() {
-                rows.push_slot();
-            }
-            let mut ext = AdjRows::new();
-            for _ in 0..if states.is_empty() { 0 } else { base } {
-                ext.push_slot();
-            }
+            let rows = AdjRows::with_slots(states.len());
+            let ext = AdjRows::with_slots(if states.is_empty() { 0 } else { base as usize });
             Segment::new(
                 base,
                 states,

@@ -300,3 +300,22 @@ fn row_encoding_is_canonical_across_build_orders() {
         "equal-content tables must be byte-identical on disk"
     );
 }
+
+#[test]
+fn v2_store_bytes_are_pinned() {
+    // Golden checksum and length of the k = 6 Circles v2 file: the
+    // writer's checks may change, its bytes may not.
+    let protocol = CirclesProtocol::new(K).expect("valid k");
+    let table = quotient_table(&protocol).expect("circles exposes a quotient");
+    let store = TempStore::new();
+    let meta = transition_store::save_quotient(&table, &protocol, &store.0).unwrap();
+    assert_eq!(
+        std::fs::read(&store.0).unwrap().len() as u64,
+        meta.file_bytes
+    );
+    assert_eq!(
+        (meta.checksum, meta.file_bytes),
+        (0x368b_299f_9020_25a0, 5109),
+        "v2 bytes of the k = {K} Circles table changed"
+    );
+}
